@@ -63,61 +63,48 @@ class CheckerEngine {
   /// "response").
   virtual const char* name() const = 0;
 
-  /// Serializes the engine's complete state to a portable checkpoint.
-  /// Supported by the bounded-state engines (incremental, response), whose
-  /// checkpoints stay small regardless of history length; Unimplemented for
-  /// engines whose state IS the history.
-  virtual Result<std::string> SaveState() const {
+  // ---- Checkpoints -----------------------------------------------------
+  //
+  // A checkpoint blob records the engine's state as the changes since a
+  // parent: either the empty state (a self-contained snapshot) or the
+  // state at the last MarkStateSaved() (a delta, priced by what changed).
+  // LoadState() applies both kinds; the blob names its own parent. The
+  // monitor drives the protocol: BeginDeltaTracking() once when chained
+  // checkpoints are enabled, MarkStateSaved() after every successful save,
+  // and StateDirty() to skip engines with nothing to write. Supported by
+  // the bounded-state engines (incremental, response), whose checkpoints
+  // stay small regardless of history length; Unimplemented for engines
+  // whose state IS the history.
+
+  /// Serializes the engine's state as the changes since the empty state
+  /// (`since_empty`) or since the last MarkStateSaved(). An engine may
+  /// ignore the flag and always write a since-empty blob.
+  virtual Result<std::string> SaveState(bool since_empty = true) const {
+    (void)since_empty;
     return Status::Unimplemented(std::string(name()) +
                                  " engine does not support checkpointing");
   }
 
-  /// Restores a SaveState() checkpoint produced by an engine compiled from
-  /// the same constraint. Replaces all current state.
+  /// Applies a SaveState() blob produced by an engine compiled from the
+  /// same constraint. A since-empty blob replaces all current state; a
+  /// since-last-save blob applies only on top of its exact parent state.
+  /// Checkpoint versions this build no longer reads are rejected with
+  /// Unimplemented, naming the version.
   virtual Status LoadState(const std::string& data) {
     (void)data;
     return Status::Unimplemented(std::string(name()) +
                                  " engine does not support checkpointing");
   }
 
-  // ---- Delta checkpoints ----------------------------------------------
-  //
-  // An engine that supports delta state lets the monitor write checkpoint
-  // records whose size is bounded by what changed since the last save
-  // rather than by the whole auxiliary state. The monitor drives the
-  // protocol: MarkStateSaved() after every successful full or delta save,
-  // SaveStateDelta() when the next checkpoint is a delta, and
-  // LoadStateDelta() on an engine whose state equals the parent
-  // checkpoint's. Engines without delta support fall back to a full
-  // SaveState() blob inside the monitor's delta record, gated by
-  // StateDirty().
-
   /// True when state may have changed since the last MarkStateSaved().
   /// The default is conservatively true (always re-serialized).
   virtual bool StateDirty() const { return true; }
 
-  /// True when SaveStateDelta()/LoadStateDelta() are implemented.
-  virtual bool SupportsStateDelta() const { return false; }
-
-  /// Arms whatever bookkeeping SaveStateDelta() depends on. The monitor
-  /// calls this once on every engine when delta checkpoints are enabled;
-  /// engines whose tracking has a per-transition cost keep it off until
-  /// then.
+  /// Arms whatever bookkeeping a since-last-save SaveState() depends on.
+  /// The monitor calls this once on every engine when chained checkpoints
+  /// are enabled; engines whose tracking has a per-transition cost keep it
+  /// off until then.
   virtual void BeginDeltaTracking() {}
-
-  /// Serializes only the state changed since the last MarkStateSaved().
-  virtual Result<std::string> SaveStateDelta() const {
-    return Status::Unimplemented(std::string(name()) +
-                                 " engine does not support delta checkpoints");
-  }
-
-  /// Applies a SaveStateDelta() blob on top of state equal to the parent
-  /// checkpoint's (base + earlier deltas already installed).
-  virtual Status LoadStateDelta(const std::string& data) {
-    (void)data;
-    return Status::Unimplemented(std::string(name()) +
-                                 " engine does not support delta checkpoints");
-  }
 
   /// Resets dirty tracking: the current state is now the saved baseline.
   virtual void MarkStateSaved() {}

@@ -75,12 +75,7 @@ IncrementalEngine::IncrementalEngine(tl::FormulaPtr constraint,
       node = std::make_shared<inc::SharedNode>();
     }
     if (!was_shared) {
-      node->st.current = Relation(network_.nodes[i].columns);
-      if (network_.nodes[i].node->kind() == FormulaKind::kPrevious) {
-        node->st.prev_body = Relation(network_.nodes[i].columns);
-      } else {
-        ConfigureNodeStore(i, &node->st.anchors);
-      }
+      node->st = FreshNodeState(i);
     } else {
       // Store configuration is a pure function of the sharing key (the
       // policy and interval are part of it), so the first acquirer already
@@ -117,6 +112,18 @@ void IncrementalEngine::ConfigureNodeStore(std::size_t i,
     }
     store->ConfigureSince(cn.lhs_projection, identity);
   }
+}
+
+inc::NodeState IncrementalEngine::FreshNodeState(std::size_t i) const {
+  const inc::CompiledNode& cn = network_.nodes[i];
+  inc::NodeState ns;
+  ns.current = Relation(cn.columns);
+  if (cn.node->kind() == FormulaKind::kPrevious) {
+    ns.prev_body = Relation(cn.columns);
+  } else {
+    ConfigureNodeStore(i, &ns.anchors);
+  }
+  return ns;
 }
 
 fo::EvalContext IncrementalEngine::ContextFor(const Database& state) {
@@ -336,10 +343,21 @@ void IncrementalEngine::DetachSharedState() {
 
 namespace {
 
-constexpr char kCheckpointMagic[] = "RTICINC1";
-// Delta checkpoint: only the relations dirtied and the domain values
-// absorbed since the last save, applied on top of the parent's state.
-constexpr char kDeltaMagic[] = "RTICINCD1";
+// Version history:
+//   RTICINC1  — full state (retired).
+//   RTICINCD1 — changes since the last save (retired).
+//   RTICINC2  — changes since a parent named in the header: the empty state
+//               or the last save. A since-empty blob is a full snapshot.
+constexpr char kCheckpointMagic[] = "RTICINC2";
+constexpr const char* kRetiredMagics[] = {"RTICINC1", "RTICINCD1"};
+// Parent token of a since-empty blob; a since-last-save blob names its
+// parent by the parent's domain size instead.
+constexpr std::int64_t kEmptyParent = -1;
+// Per-node entry flags: which relations follow.
+constexpr std::int64_t kCurrentFlag = 1;
+constexpr std::int64_t kPrevBodyFlag = 2;
+constexpr std::int64_t kAnchorsFlag = 4;
+constexpr std::int64_t kAllFlags = kCurrentFlag | kPrevBodyFlag | kAnchorsFlag;
 
 void WriteRows(StateWriter* w, const Relation& rel) {
   w->WriteSize(rel.size());
@@ -357,27 +375,57 @@ Status ReadRowsInto(StateReader* r, Relation* rel) {
 
 }  // namespace
 
-Result<std::string> IncrementalEngine::SaveState() const {
+Result<std::string> IncrementalEngine::SaveState(bool since_empty) const {
+  if (!since_empty && !delta_tracking_) {
+    return Status::FailedPrecondition(
+        "a since-last-save checkpoint needs BeginDeltaTracking()");
+  }
   StateWriter w;
   w.WriteString(kCheckpointMagic);
   w.WriteString(constraint_->ToString());
+  w.WriteInt(since_empty ? kEmptyParent
+                         : static_cast<std::int64_t>(domain_saved_count_));
   w.WriteInt(has_prev_ ? 1 : 0);
   w.WriteInt(prev_time_);
 
-  std::vector<Value> domain_values = domain_->tracker.AllValues();
-  w.WriteSize(domain_values.size());
-  for (const Value& v : domain_values) w.WriteValue(v);
+  // A since-empty blob writes the domain sorted, so equal states save to
+  // equal bytes whatever chain produced them; a delta writes the values
+  // absorbed since the parent, in first-absorption order.
+  if (since_empty) {
+    std::vector<Value> domain_values = domain_->tracker.AllValues();
+    w.WriteSize(domain_values.size());
+    for (const Value& v : domain_values) w.WriteValue(v);
+  } else {
+    const std::vector<Value>& additions = domain_->tracker.additions();
+    w.WriteSize(additions.size() - domain_saved_count_);
+    for (std::size_t i = domain_saved_count_; i < additions.size(); ++i) {
+      w.WriteValue(additions[i]);
+    }
+  }
 
+  std::vector<std::int64_t> flags(states_.size(), kAllFlags);
+  if (!since_empty) {
+    for (std::size_t i = 0; i < states_.size(); ++i) {
+      const inc::NodeState& ns = states_[i]->st;
+      flags[i] = (ns.current_dirty ? kCurrentFlag : 0) |
+                 (ns.prev_body_dirty ? kPrevBodyFlag : 0) |
+                 (ns.anchors_dirty ? kAnchorsFlag : 0);
+    }
+  }
   w.WriteSize(states_.size());
+  w.WriteSize(static_cast<std::size_t>(
+      std::count_if(flags.begin(), flags.end(),
+                    [](std::int64_t f) { return f != 0; })));
   for (std::size_t i = 0; i < states_.size(); ++i) {
+    if (flags[i] == 0) continue;
     const inc::NodeState& ns = states_[i]->st;
     w.WriteSize(i);
-    WriteRows(&w, ns.current);
-    WriteRows(&w, ns.prev_body);
+    w.WriteInt(flags[i]);
+    if (flags[i] & kCurrentFlag) WriteRows(&w, ns.current);
+    if (flags[i] & kPrevBodyFlag) WriteRows(&w, ns.prev_body);
     // Sorted by valuation (EncodeSorted), so equal states checkpoint to
-    // identical bytes regardless of the slot history that produced them —
-    // and byte-identical to the former sorted anchor-map encoding.
-    ns.anchors.EncodeSorted(&w);
+    // identical bytes regardless of the slot history that produced them.
+    if (flags[i] & kAnchorsFlag) ns.anchors.EncodeSorted(&w);
   }
   return w.str();
 }
@@ -385,6 +433,13 @@ Result<std::string> IncrementalEngine::SaveState() const {
 Status IncrementalEngine::LoadState(const std::string& data) {
   StateReader r(data);
   RTIC_ASSIGN_OR_RETURN(std::string magic, r.ReadString());
+  for (const char* retired : kRetiredMagics) {
+    if (magic == retired) {
+      return Status::Unimplemented(
+          "unsupported incremental checkpoint version " + magic +
+          "; this build reads only " + kCheckpointMagic);
+    }
+  }
   if (magic != kCheckpointMagic) {
     return Status::InvalidArgument("not an rtic incremental checkpoint");
   }
@@ -394,57 +449,116 @@ Status IncrementalEngine::LoadState(const std::string& data) {
         "checkpoint was produced for a different constraint: " +
         constraint_text);
   }
+  RTIC_ASSIGN_OR_RETURN(std::int64_t parent, r.ReadInt());
+  const bool since_empty = parent == kEmptyParent;
+  const std::size_t domain_size = domain_->tracker.additions().size();
+  if (!since_empty && parent != static_cast<std::int64_t>(domain_size)) {
+    return Status::FailedPrecondition(
+        "checkpoint chains to a different parent state (domain size " +
+        std::to_string(parent) + " vs " + std::to_string(domain_size) + ")");
+  }
   RTIC_ASSIGN_OR_RETURN(std::int64_t has_prev, r.ReadInt());
   RTIC_ASSIGN_OR_RETURN(Timestamp prev_time, r.ReadInt());
 
-  RTIC_ASSIGN_OR_RETURN(std::int64_t domain_count, r.ReadInt());
-  DomainTracker domain;
-  std::vector<Value> domain_values;
-  for (std::int64_t i = 0; i < domain_count; ++i) {
+  RTIC_ASSIGN_OR_RETURN(std::int64_t value_count, r.ReadInt());
+  std::vector<Value> values;
+  for (std::int64_t i = 0; i < value_count; ++i) {
     RTIC_ASSIGN_OR_RETURN(Value v, r.ReadValue());
-    domain_values.push_back(std::move(v));
+    values.push_back(std::move(v));
   }
-  domain.AbsorbValues(domain_values);
 
   RTIC_ASSIGN_OR_RETURN(std::int64_t node_count, r.ReadInt());
   if (node_count != static_cast<std::int64_t>(network_.nodes.size())) {
     return Status::InvalidArgument("checkpoint node count mismatch");
   }
-  std::vector<inc::NodeState> restored(states_.size());
-  for (std::int64_t n = 0; n < node_count; ++n) {
-    RTIC_ASSIGN_OR_RETURN(std::int64_t idx, r.ReadInt());
-    if (idx != n) return Status::InvalidArgument("checkpoint node order");
-    const inc::CompiledNode& cn = network_.nodes[static_cast<std::size_t>(n)];
-    inc::NodeState& ns = restored[static_cast<std::size_t>(n)];
+  RTIC_ASSIGN_OR_RETURN(std::int64_t entry_count, r.ReadInt());
+  if (entry_count < 0 || entry_count > node_count) {
+    return Status::InvalidArgument("checkpoint node entry count");
+  }
 
-    ns.current = Relation(cn.columns);
-    RTIC_RETURN_IF_ERROR(ReadRowsInto(&r, &ns.current));
-    ns.prev_body = Relation(cn.columns);
-    RTIC_RETURN_IF_ERROR(ReadRowsInto(&r, &ns.prev_body));
-    ConfigureNodeStore(static_cast<std::size_t>(n), &ns.anchors);
-    RTIC_RETURN_IF_ERROR(ns.anchors.DecodeReplace(&r));
+  // Parse every entry into staging state before touching states_, so a
+  // malformed blob leaves the engine as it was.
+  struct Entry {
+    std::size_t idx = 0;
+    std::int64_t flags = 0;
+    Relation current;
+    Relation prev_body;
+    inc::AnchorStore anchors;
+  };
+  std::vector<Entry> entries;
+  std::int64_t prev_idx = -1;
+  for (std::int64_t n = 0; n < entry_count; ++n) {
+    RTIC_ASSIGN_OR_RETURN(std::int64_t idx, r.ReadInt());
+    if (idx <= prev_idx || idx >= node_count) {
+      return Status::InvalidArgument("checkpoint node order");
+    }
+    prev_idx = idx;
+    Entry e;
+    e.idx = static_cast<std::size_t>(idx);
+    RTIC_ASSIGN_OR_RETURN(e.flags, r.ReadInt());
+    if (e.flags < 1 || e.flags > kAllFlags) {
+      return Status::InvalidArgument("checkpoint node flags");
+    }
+    const inc::CompiledNode& cn = network_.nodes[e.idx];
+    if (e.flags & kCurrentFlag) {
+      e.current = Relation(cn.columns);
+      RTIC_RETURN_IF_ERROR(ReadRowsInto(&r, &e.current));
+    }
+    if (e.flags & kPrevBodyFlag) {
+      e.prev_body = Relation(cn.columns);
+      RTIC_RETURN_IF_ERROR(ReadRowsInto(&r, &e.prev_body));
+    }
+    if (e.flags & kAnchorsFlag) {
+      ConfigureNodeStore(e.idx, &e.anchors);
+      RTIC_RETURN_IF_ERROR(e.anchors.DecodeReplace(&r));
+    }
+    entries.push_back(std::move(e));
   }
   if (!r.AtEnd()) {
     return Status::InvalidArgument("trailing bytes in checkpoint");
   }
 
-  // Install into fresh private state: the sharing protocol assumes an
-  // uninterrupted lockstep history, which a restore breaks.
   DetachSharedState();
-  for (std::size_t n = 0; n < restored.size(); ++n) {
-    states_[n]->st = std::move(restored[n]);
+  // `applied` records which relations each node takes from the blob; a
+  // since-empty blob starts every node, listed or not, from scratch.
+  std::vector<std::int64_t> applied(states_.size(), 0);
+  if (since_empty) {
+    for (std::size_t i = 0; i < states_.size(); ++i) {
+      states_[i]->st = FreshNodeState(i);
+      applied[i] = kAnchorsFlag;
+    }
+    domain_->tracker = DomainTracker();
   }
-  domain_->tracker = std::move(domain);
+  domain_->tracker.AbsorbValues(values);
+  for (Entry& e : entries) {
+    inc::NodeState& ns = states_[e.idx]->st;
+    if (e.flags & kCurrentFlag) {
+      ns.current = std::move(e.current);
+      ++ns.current_version;
+    }
+    if (e.flags & kPrevBodyFlag) ns.prev_body = std::move(e.prev_body);
+    if (e.flags & kAnchorsFlag) ns.anchors = std::move(e.anchors);
+    applied[e.idx] |= e.flags;
+  }
   has_prev_ = has_prev != 0;
   prev_time_ = prev_time;
-  // The checkpointed tables are canonical at prev_time_ (the saver pruned
-  // them there), so rebuilding membership flags and wheel deadlines at the
-  // same instant reproduces the saver's derived state exactly.
-  for (const auto& node : states_) {
-    node->st.anchors.Rehydrate(prev_time_, node->st.current);
+  // Re-derive store state. A replaced anchor table was canonical at the
+  // save time (= prev_time_; the saver pruned it there), so rebuilding its
+  // membership flags and wheel deadlines at that instant reproduces the
+  // saver's derived state exactly. A node whose `current` changed but
+  // whose anchors did not keeps its queued absolute deadlines — they alone
+  // describe its pending prune events — and only refreshes its membership
+  // flags against the new relation. Untouched nodes change nothing.
+  for (std::size_t i = 0; i < states_.size(); ++i) {
+    inc::NodeState& ns = states_[i]->st;
+    if (applied[i] & kAnchorsFlag) {
+      ns.anchors.Rehydrate(prev_time_, ns.current);
+    } else if (applied[i] & kCurrentFlag) {
+      ns.anchors.ResetMembership(ns.current);
+    }
   }
   scratch_.InvalidateDomain();
-  MarkStateSaved();  // the restored state is the new delta baseline
+  MarkStateSaved();  // the loaded state is the new checkpoint baseline
   return Status::OK();
 }
 
@@ -484,166 +598,6 @@ void IncrementalEngine::MarkStateSaved() {
   domain_saved_count_ = domain_->tracker.additions().size();
   saved_has_prev_ = has_prev_;
   saved_prev_time_ = prev_time_;
-}
-
-Result<std::string> IncrementalEngine::SaveStateDelta() const {
-  if (!delta_tracking_) {
-    return Status::FailedPrecondition(
-        "delta checkpoint requested before BeginDeltaTracking()");
-  }
-  StateWriter w;
-  w.WriteString(kDeltaMagic);
-  w.WriteString(constraint_->ToString());
-  w.WriteInt(has_prev_ ? 1 : 0);
-  w.WriteInt(prev_time_);
-
-  // Domain values absorbed since the last save, in first-absorption order.
-  // The parent's domain size is included so a delta applied to the wrong
-  // parent state is rejected instead of silently diverging.
-  const std::vector<Value>& additions = domain_->tracker.additions();
-  w.WriteSize(domain_saved_count_);
-  w.WriteSize(additions.size() - domain_saved_count_);
-  for (std::size_t i = domain_saved_count_; i < additions.size(); ++i) {
-    w.WriteValue(additions[i]);
-  }
-
-  w.WriteSize(states_.size());
-  std::size_t dirty_nodes = 0;
-  for (const auto& node : states_) {
-    const inc::NodeState& ns = node->st;
-    if (ns.current_dirty || ns.prev_body_dirty || ns.anchors_dirty) {
-      ++dirty_nodes;
-    }
-  }
-  w.WriteSize(dirty_nodes);
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    const inc::NodeState& ns = states_[i]->st;
-    const std::int64_t flags = (ns.current_dirty ? 1 : 0) |
-                               (ns.prev_body_dirty ? 2 : 0) |
-                               (ns.anchors_dirty ? 4 : 0);
-    if (flags == 0) continue;
-    w.WriteSize(i);
-    w.WriteInt(flags);
-    if (flags & 1) WriteRows(&w, ns.current);
-    if (flags & 2) WriteRows(&w, ns.prev_body);
-    if (flags & 4) ns.anchors.EncodeSorted(&w);
-  }
-  return w.str();
-}
-
-Status IncrementalEngine::LoadStateDelta(const std::string& data) {
-  StateReader r(data);
-  RTIC_ASSIGN_OR_RETURN(std::string magic, r.ReadString());
-  if (magic != kDeltaMagic) {
-    return Status::InvalidArgument("not an rtic incremental delta checkpoint");
-  }
-  RTIC_ASSIGN_OR_RETURN(std::string constraint_text, r.ReadString());
-  if (constraint_text != constraint_->ToString()) {
-    return Status::FailedPrecondition(
-        "delta checkpoint was produced for a different constraint: " +
-        constraint_text);
-  }
-  RTIC_ASSIGN_OR_RETURN(std::int64_t has_prev, r.ReadInt());
-  RTIC_ASSIGN_OR_RETURN(Timestamp prev_time, r.ReadInt());
-
-  RTIC_ASSIGN_OR_RETURN(std::int64_t domain_before, r.ReadInt());
-  if (domain_before !=
-      static_cast<std::int64_t>(domain_->tracker.additions().size())) {
-    return Status::FailedPrecondition(
-        "delta checkpoint chains to a different parent state (domain size " +
-        std::to_string(domain_before) + " vs " +
-        std::to_string(domain_->tracker.additions().size()) + ")");
-  }
-  RTIC_ASSIGN_OR_RETURN(std::int64_t domain_added, r.ReadInt());
-  std::vector<Value> added_values;
-  for (std::int64_t i = 0; i < domain_added; ++i) {
-    RTIC_ASSIGN_OR_RETURN(Value v, r.ReadValue());
-    added_values.push_back(std::move(v));
-  }
-
-  RTIC_ASSIGN_OR_RETURN(std::int64_t node_count, r.ReadInt());
-  if (node_count != static_cast<std::int64_t>(network_.nodes.size())) {
-    return Status::InvalidArgument("delta checkpoint node count mismatch");
-  }
-  RTIC_ASSIGN_OR_RETURN(std::int64_t entry_count, r.ReadInt());
-  if (entry_count < 0 || entry_count > node_count) {
-    return Status::InvalidArgument("delta checkpoint entry count");
-  }
-
-  // Parse every entry into staging state before touching states_, so a
-  // malformed delta leaves the engine at the parent state instead of
-  // half-applied.
-  struct Entry {
-    std::size_t idx = 0;
-    std::int64_t flags = 0;
-    Relation current;
-    Relation prev_body;
-    inc::AnchorStore anchors;
-  };
-  std::vector<Entry> entries;
-  std::int64_t prev_idx = -1;
-  for (std::int64_t n = 0; n < entry_count; ++n) {
-    RTIC_ASSIGN_OR_RETURN(std::int64_t idx, r.ReadInt());
-    if (idx <= prev_idx || idx >= node_count) {
-      return Status::InvalidArgument("delta checkpoint node order");
-    }
-    prev_idx = idx;
-    Entry e;
-    e.idx = static_cast<std::size_t>(idx);
-    RTIC_ASSIGN_OR_RETURN(e.flags, r.ReadInt());
-    if (e.flags < 1 || e.flags > 7) {
-      return Status::InvalidArgument("delta checkpoint node flags");
-    }
-    const inc::CompiledNode& cn = network_.nodes[e.idx];
-    if (e.flags & 1) {
-      e.current = Relation(cn.columns);
-      RTIC_RETURN_IF_ERROR(ReadRowsInto(&r, &e.current));
-    }
-    if (e.flags & 2) {
-      e.prev_body = Relation(cn.columns);
-      RTIC_RETURN_IF_ERROR(ReadRowsInto(&r, &e.prev_body));
-    }
-    if (e.flags & 4) {
-      ConfigureNodeStore(e.idx, &e.anchors);
-      RTIC_RETURN_IF_ERROR(e.anchors.DecodeReplace(&r));
-    }
-    entries.push_back(std::move(e));
-  }
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes in delta checkpoint");
-  }
-
-  // Detach before applying: a delta is not idempotent, and other sharers
-  // still read the shared relations it would overwrite.
-  DetachSharedState();
-  domain_->tracker.AbsorbValues(added_values);
-  for (Entry& e : entries) {
-    inc::NodeState& ns = states_[e.idx]->st;
-    if (e.flags & 1) {
-      ns.current = std::move(e.current);
-      ++ns.current_version;
-    }
-    if (e.flags & 2) ns.prev_body = std::move(e.prev_body);
-    if (e.flags & 4) ns.anchors = std::move(e.anchors);
-  }
-  has_prev_ = has_prev != 0;
-  prev_time_ = prev_time;
-  // Re-derive store state for the nodes the delta touched. A replaced
-  // anchor table was canonical at the delta's save time (= prev_time_), so
-  // rebuilding its wheel there is exact. A node whose `current` changed but
-  // whose anchors did not keeps its queued absolute deadlines — they alone
-  // describe its pending prune events — and only refreshes its membership
-  // flags against the new relation. Untouched nodes change nothing.
-  for (const Entry& e : entries) {
-    inc::NodeState& ns = states_[e.idx]->st;
-    if (e.flags & 4) {
-      ns.anchors.Rehydrate(prev_time_, ns.current);
-    } else if (e.flags & 1) {
-      ns.anchors.ResetMembership(ns.current);
-    }
-  }
-  MarkStateSaved();  // the chained state is the new delta baseline
-  return Status::OK();
 }
 
 }  // namespace rtic

@@ -93,37 +93,31 @@ class IncrementalEngine : public CheckerEngine {
   /// The normalized constraint the engine actually runs.
   const tl::Formula& normalized_constraint() const { return *constraint_; }
 
-  /// Serializes the checker's complete state — clock, cumulative domain,
-  /// and every auxiliary structure — to a portable text checkpoint. Because
-  /// the encoding is bounded, the checkpoint is small regardless of how
-  /// much history has been processed; together with the constraint text it
-  /// is everything needed to resume monitoring after a restart, with no
-  /// history replay. Shared state serializes exactly as if owned.
-  Result<std::string> SaveState() const override;
+  /// Serializes the checker's state — clock, cumulative domain, and the
+  /// auxiliary structures — as an RTICINC2 blob: with `since_empty`, every
+  /// node (a self-contained snapshot; because the encoding is bounded it
+  /// is small regardless of how much history has been processed); without,
+  /// only the relations dirtied and the domain values absorbed since the
+  /// last MarkStateSaved() (requires BeginDeltaTracking()). Shared state
+  /// serializes exactly as if owned.
+  Result<std::string> SaveState(bool since_empty = true) const override;
 
-  /// Restores a SaveState() checkpoint into an engine compiled from the
-  /// SAME constraint (validated against the checkpoint). Replaces all
-  /// current state; subsequent verdicts are identical to an uninterrupted
-  /// run. Restoring detaches the engine from any shared-subplan state (the
-  /// sharing protocol assumes an uninterrupted lockstep history).
+  /// Applies a SaveState() blob into an engine compiled from the SAME
+  /// constraint (validated against the blob). A since-empty blob replaces
+  /// all state; a since-last-save blob requires this engine to hold its
+  /// exact parent state (checked by domain size). Blobs are staged in full
+  /// before the engine is touched. Either way the engine detaches from any
+  /// shared-subplan state first: the sharing protocol assumes an
+  /// uninterrupted lockstep history, and a delta is not idempotent, so it
+  /// must never apply to relations other sharers still read.
   Status LoadState(const std::string& data) override;
 
-  // Delta checkpoints (see checker_engine.h for the protocol). Dirty
-  // tracking is per node and per relation — `current`, `prev_body`, and the
-  // anchor table each carry their own bit. For once/since nodes the bits
-  // are driven by the anchor store's exact mutation flags (free — no
-  // snapshot-and-compare), so a delta serializes only the relations that
-  // actually changed since the last MarkStateSaved(), plus the domain
-  // values absorbed since then. SaveStateDelta() still refuses before
-  // BeginDeltaTracking(): without a baseline there is nothing to delta
-  // against. LoadStateDelta also detaches from shared state first: a delta
-  // is not idempotent, so it must never apply to relations other sharers
-  // still read.
+  // Dirty tracking for since-last-save blobs is per node and per relation
+  // — `current`, `prev_body`, and the anchor table each carry their own
+  // bit. For once/since nodes the bits are driven by the anchor store's
+  // exact mutation flags (free — no snapshot-and-compare).
   bool StateDirty() const override;
-  bool SupportsStateDelta() const override { return true; }
   void BeginDeltaTracking() override;
-  Result<std::string> SaveStateDelta() const override;
-  Status LoadStateDelta(const std::string& data) override;
   void MarkStateSaved() override;
 
  private:
@@ -136,6 +130,10 @@ class IncrementalEngine : public CheckerEngine {
   /// Applies node i's interval / pruning policy / survivor projection to an
   /// anchor store (a fresh node's, or one staged from a checkpoint).
   void ConfigureNodeStore(std::size_t i, inc::AnchorStore* store) const;
+
+  /// Node i's state before any transition: empty relations, configured
+  /// anchor store.
+  inc::NodeState FreshNodeState(std::size_t i) const;
 
   /// Replaces all shared handles with fresh private copies of the current
   /// content (checkpoint restore breaks the lockstep sharing invariant).
@@ -157,7 +155,7 @@ class IncrementalEngine : public CheckerEngine {
   bool has_prev_ = false;
   Timestamp prev_time_ = 0;
 
-  // Delta-checkpoint baseline (state as of the last MarkStateSaved()).
+  // Checkpoint baseline (state as of the last MarkStateSaved()).
   bool delta_tracking_ = false;
   std::size_t domain_saved_count_ = 0;
   bool saved_has_prev_ = false;

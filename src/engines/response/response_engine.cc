@@ -204,7 +204,7 @@ namespace {
 constexpr char kResponseMagic[] = "RTICRESP1";
 }  // namespace
 
-Result<std::string> ResponseEngine::SaveState() const {
+Result<std::string> ResponseEngine::SaveState(bool /*since_empty*/) const {
   StateWriter w;
   w.WriteString(kResponseMagic);
   w.WriteString(constraint_->ToString());

@@ -88,8 +88,9 @@ class ResponseEngine : public CheckerEngine {
 
   /// Checkpointing: obligations are bounded by window x trigger rate, so a
   /// response checker can be persisted and resumed without history replay,
-  /// exactly like the incremental engine.
-  Result<std::string> SaveState() const override;
+  /// exactly like the incremental engine. Every blob is a full snapshot
+  /// (since the empty state), whatever `since_empty` asks for.
+  Result<std::string> SaveState(bool since_empty = true) const override;
   Status LoadState(const std::string& data) override;
 
  private:

@@ -234,9 +234,6 @@ class MonitorReplayTarget final : public wal::ReplayTarget {
   Status RestoreCheckpoint(const std::string& payload) override {
     return monitor_->LoadState(payload);
   }
-  Status RestoreCheckpointDelta(const std::string& payload) override {
-    return monitor_->LoadStateDelta(payload);
-  }
   Status Replay(const UpdateBatch& batch) override {
     // Violations were already reported when the batch was first accepted.
     return monitor_->ApplyUpdate(batch).status();
@@ -566,33 +563,90 @@ std::size_t ConstraintMonitor::TotalStorageRows() const {
 
 namespace {
 // Version history:
-//   RTICMON1 — database + clock + engine states; per-constraint counters
-//              were not persisted (restored monitors under-reported them).
-//   RTICMON2 — adds per-constraint transition/violation counters so
-//              Stats() survives recovery consistently with
-//              total_violations().
-//   RTICMON3 — adds a kind token after the magic: "base" (followed by the
-//              unchanged RTICMON2 body) or "delta" (changes since the
-//              parent checkpoint). RTICMON2 files still load.
-// Checkpoint payloads of any version may additionally be wrapped in a
-// compressed frame (common/compress.h); the loaders auto-detect that.
-constexpr char kMonitorMagic[] = "RTICMON3";
-constexpr char kMonitorMagicV2[] = "RTICMON2";
-constexpr char kLegacyMonitorMagic[] = "RTICMON1";
-constexpr char kKindBase[] = "base";
-constexpr char kKindDelta[] = "delta";
+//   RTICMON1 — database + clock + engine states (retired).
+//   RTICMON2 — adds per-constraint transition/violation counters
+//              (retired).
+//   RTICMON3 — a kind token, "base" or "delta", selecting one of two
+//              layouts (retired).
+//   RTICMON4 — one layout: the changes since a parent named in the header,
+//              either the empty state (a full snapshot) or the parent
+//              checkpoint's transition count.
+// Checkpoint payloads may additionally be wrapped in a compressed frame
+// (common/compress.h); the loader auto-detects that.
+constexpr char kMonitorMagic[] = "RTICMON4";
+constexpr const char* kRetiredMonitorMagics[] = {"RTICMON1", "RTICMON2",
+                                                 "RTICMON3"};
+constexpr std::int64_t kEmptyParent = -1;
+
+template <typename Rows>
+void WriteRows(StateWriter* w, const Rows& rows) {
+  w->WriteSize(rows.size());
+  for (const Tuple& row : rows) w->WriteTuple(row);
+}
+
+Result<std::int64_t> ReadCount(StateReader* r) {
+  RTIC_ASSIGN_OR_RETURN(std::int64_t n, r->ReadInt());
+  if (n < 0) return Status::InvalidArgument("negative count in checkpoint");
+  return n;
+}
+
+Result<Schema> ReadSchema(StateReader* r) {
+  RTIC_ASSIGN_OR_RETURN(std::int64_t col_count, ReadCount(r));
+  std::vector<Column> columns;
+  for (std::int64_t c = 0; c < col_count; ++c) {
+    RTIC_ASSIGN_OR_RETURN(std::string col_name, r->ReadString());
+    RTIC_ASSIGN_OR_RETURN(std::int64_t type, r->ReadInt());
+    if (type < 0 || type > static_cast<std::int64_t>(ValueType::kBool)) {
+      return Status::InvalidArgument("bad column type in checkpoint");
+    }
+    columns.push_back(Column{col_name, static_cast<ValueType>(type)});
+  }
+  return Schema::Make(std::move(columns));
+}
+
 }  // namespace
 
 Result<std::string> ConstraintMonitor::SaveState() const {
+  return EncodeCheckpoint(/*since_empty=*/true);
+}
+
+Result<std::string> ConstraintMonitor::SaveStateDelta() {
+  if (!delta_tracking_) {
+    return Status::FailedPrecondition(
+        "SaveStateDelta() requires BeginDeltaTracking()");
+  }
+  RTIC_ASSIGN_OR_RETURN(std::string payload,
+                        EncodeCheckpoint(/*since_empty=*/false));
+  // This delta is now the baseline: the caller chains the next delta onto
+  // it (a write failure downstream forces a base checkpoint instead).
+  ResetCheckpointTracking();
+  return payload;
+}
+
+Result<std::string> ConstraintMonitor::EncodeCheckpoint(
+    bool since_empty) const {
   StateWriter w;
   w.WriteString(kMonitorMagic);
-  w.WriteString(kKindBase);
+  w.WriteInt(since_empty
+                 ? kEmptyParent
+                 : static_cast<std::int64_t>(checkpoint_parent_transitions_));
   w.WriteInt(static_cast<std::int64_t>(transition_count_));
   w.WriteInt(current_time_);
   w.WriteInt(static_cast<std::int64_t>(total_violations_));
 
-  // Database: tables with schema and rows.
-  std::vector<std::string> tables = db_.TableNames();
+  // Tables, by name. Since the empty state every table appears, all its
+  // rows added in sorted order (equal states save to equal bytes); since
+  // the baseline only the changed tables appear.
+  std::vector<std::string> tables;
+  if (since_empty) {
+    tables = db_.TableNames();
+  } else {
+    for (const auto& [name, delta] : table_deltas_) {
+      if (!delta.removed.empty() || !delta.added.empty()) {
+        tables.push_back(name);
+      }
+    }
+  }
   w.WriteSize(tables.size());
   for (const std::string& name : tables) {
     const Table* table = db_.GetTable(name).value();
@@ -602,21 +656,33 @@ Result<std::string> ConstraintMonitor::SaveState() const {
       w.WriteString(col.name);
       w.WriteInt(static_cast<std::int64_t>(col.type));
     }
-    w.WriteSize(table->size());
-    std::vector<Tuple> rows(table->rows().begin(), table->rows().end());
-    std::sort(rows.begin(), rows.end());
-    for (const Tuple& row : rows) w.WriteTuple(row);
+    if (since_empty) {
+      std::vector<Tuple> rows(table->rows().begin(), table->rows().end());
+      std::sort(rows.begin(), rows.end());
+      w.WriteSize(0);  // nothing removed from the empty state
+      WriteRows(&w, rows);
+    } else {
+      const TableDelta& delta = table_deltas_.at(name);
+      WriteRows(&w, delta.removed);
+      WriteRows(&w, delta.added);
+    }
   }
 
   // Constraint checkers, each with its cumulative counters (timing stats
-  // are process-local and deliberately not persisted).
+  // are process-local and deliberately not persisted). Marker 0: engine
+  // unchanged since the parent; 1: an engine blob follows.
   w.WriteSize(constraints_.size());
   for (const auto& c : constraints_) {
     w.WriteString(c->name);
     w.WriteSize(c->transitions);
     w.WriteSize(c->violations);
-    RTIC_ASSIGN_OR_RETURN(std::string engine_state, c->engine->SaveState());
-    w.WriteString(engine_state);
+    if (!since_empty && !c->engine->StateDirty()) {
+      w.WriteInt(0);
+      continue;
+    }
+    RTIC_ASSIGN_OR_RETURN(std::string blob, c->engine->SaveState(since_empty));
+    w.WriteInt(1);
+    w.WriteString(blob);
   }
   return w.str();
 }
@@ -630,67 +696,76 @@ Status ConstraintMonitor::LoadState(const std::string& data) {
   }
   StateReader r(*payload);
   RTIC_ASSIGN_OR_RETURN(std::string magic, r.ReadString());
-  if (magic == kLegacyMonitorMagic) {
-    return Status::InvalidArgument(
-        "unsupported checkpoint version " + magic +
-        " (predates per-constraint counters); re-create the checkpoint "
-        "with this build's SaveState()");
+  for (const char* retired : kRetiredMonitorMagics) {
+    if (magic == retired) {
+      // Unimplemented, not InvalidArgument: the file is intact, this build
+      // just cannot read it, so recovery must keep it rather than evict it.
+      return Status::Unimplemented("unsupported checkpoint version " +
+                                   magic + "; this build reads only " +
+                                   kMonitorMagic);
+    }
   }
-  if (magic == kMonitorMagic) {
-    // RTICMON3 carries a kind token; the body after "base" is the
-    // unchanged RTICMON2 layout.
-    RTIC_ASSIGN_OR_RETURN(std::string kind, r.ReadString());
-    if (kind == kKindDelta) {
-      return Status::InvalidArgument(
-          "this is a delta checkpoint; apply it with LoadStateDelta() on "
-          "top of its parent");
-    }
-    if (kind != kKindBase) {
-      return Status::InvalidArgument("unknown checkpoint kind '" + kind +
-                                     "'");
-    }
-  } else if (magic != kMonitorMagicV2) {
+  if (magic != kMonitorMagic) {
     return Status::InvalidArgument("not an rtic monitor checkpoint");
+  }
+  RTIC_ASSIGN_OR_RETURN(std::int64_t parent, r.ReadInt());
+  const bool since_empty = parent == kEmptyParent;
+  if (!since_empty && parent != static_cast<std::int64_t>(transition_count_)) {
+    return Status::FailedPrecondition(
+        "checkpoint chains to a different parent state (parent saw " +
+        std::to_string(parent) + " transitions, this monitor " +
+        std::to_string(transition_count_) + ")");
   }
   RTIC_ASSIGN_OR_RETURN(std::int64_t transition_count, r.ReadInt());
   RTIC_ASSIGN_OR_RETURN(Timestamp current_time, r.ReadInt());
   RTIC_ASSIGN_OR_RETURN(std::int64_t total_violations, r.ReadInt());
+  if (transition_count < std::max<std::int64_t>(parent, 0) ||
+      total_violations < 0 || (!since_empty && current_time < current_time_)) {
+    return Status::InvalidArgument("implausible counters in checkpoint");
+  }
 
-  // Rebuild the database against the registered schemas.
-  Database restored_db;
-  RTIC_ASSIGN_OR_RETURN(std::int64_t table_count, r.ReadInt());
+  // Stage every listed table — on a fresh table for a since-empty record,
+  // on a copy of the live one otherwise — so a rejected checkpoint leaves
+  // the live database untouched.
+  RTIC_ASSIGN_OR_RETURN(std::int64_t table_count, ReadCount(&r));
+  if (since_empty &&
+      table_count != static_cast<std::int64_t>(db_.TableNames().size())) {
+    return Status::FailedPrecondition(
+        "checkpoint table count does not match the registered tables");
+  }
+  std::vector<std::pair<std::string, Table>> staged_tables;
   for (std::int64_t i = 0; i < table_count; ++i) {
     RTIC_ASSIGN_OR_RETURN(std::string name, r.ReadString());
-    RTIC_ASSIGN_OR_RETURN(std::int64_t col_count, r.ReadInt());
-    std::vector<Column> columns;
-    for (std::int64_t c = 0; c < col_count; ++c) {
-      RTIC_ASSIGN_OR_RETURN(std::string col_name, r.ReadString());
-      RTIC_ASSIGN_OR_RETURN(std::int64_t type, r.ReadInt());
-      if (type < 0 || type > static_cast<std::int64_t>(ValueType::kBool)) {
-        return Status::InvalidArgument("bad column type in checkpoint");
-      }
-      columns.push_back(Column{col_name, static_cast<ValueType>(type)});
+    if (!staged_tables.empty() && name <= staged_tables.back().first) {
+      return Status::InvalidArgument("checkpoint tables out of order at '" +
+                                     name + "'");
     }
-    RTIC_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(columns)));
-    // Validate against the live catalog.
+    RTIC_ASSIGN_OR_RETURN(Schema schema, ReadSchema(&r));
     RTIC_ASSIGN_OR_RETURN(const Table* live, db_.GetTable(name));
     if (!(live->schema() == schema)) {
       return Status::FailedPrecondition(
           "checkpoint schema for table " + name +
           " does not match the registered schema");
     }
-    RTIC_RETURN_IF_ERROR(restored_db.CreateTable(name, schema));
-    Table* table = restored_db.GetMutableTable(name).value();
-    RTIC_ASSIGN_OR_RETURN(std::int64_t row_count, r.ReadInt());
-    for (std::int64_t k = 0; k < row_count; ++k) {
+    Table staged = since_empty ? Table(name, std::move(schema)) : *live;
+    RTIC_ASSIGN_OR_RETURN(std::int64_t removed, ReadCount(&r));
+    for (std::int64_t k = 0; k < removed; ++k) {
       RTIC_ASSIGN_OR_RETURN(Tuple row, r.ReadTuple());
-      Result<bool> ins = table->Insert(std::move(row));
-      if (!ins.ok()) return ins.status();
+      if (!staged.Erase(row)) {
+        return Status::FailedPrecondition(
+            "checkpoint removes a row not present in table " + name);
+      }
     }
-  }
-  if (table_count != static_cast<std::int64_t>(db_.TableNames().size())) {
-    return Status::FailedPrecondition(
-        "checkpoint table count does not match the registered tables");
+    RTIC_ASSIGN_OR_RETURN(std::int64_t added, ReadCount(&r));
+    for (std::int64_t k = 0; k < added; ++k) {
+      RTIC_ASSIGN_OR_RETURN(Tuple row, r.ReadTuple());
+      RTIC_ASSIGN_OR_RETURN(bool inserted, staged.Insert(std::move(row)));
+      if (!inserted) {
+        return Status::FailedPrecondition(
+            "checkpoint adds a row already present in table " + name);
+      }
+    }
+    staged_tables.emplace_back(std::move(name), std::move(staged));
   }
 
   RTIC_ASSIGN_OR_RETURN(std::int64_t constraint_count, r.ReadInt());
@@ -698,49 +773,68 @@ Status ConstraintMonitor::LoadState(const std::string& data) {
     return Status::FailedPrecondition(
         "checkpoint constraint count does not match registration");
   }
-  std::vector<std::string> engine_states;
-  std::vector<std::pair<std::int64_t, std::int64_t>> counters;
+  struct StagedConstraint {
+    std::int64_t transitions = 0;
+    std::int64_t violations = 0;
+    bool has_blob = false;
+    std::string blob;
+  };
+  std::vector<StagedConstraint> staged_constraints;
   for (std::int64_t i = 0; i < constraint_count; ++i) {
     RTIC_ASSIGN_OR_RETURN(std::string name, r.ReadString());
     if (name != constraints_[static_cast<std::size_t>(i)]->name) {
       return Status::FailedPrecondition(
           "checkpoint constraint order/name mismatch at '" + name + "'");
     }
-    RTIC_ASSIGN_OR_RETURN(std::int64_t transitions, r.ReadInt());
-    RTIC_ASSIGN_OR_RETURN(std::int64_t c_violations, r.ReadInt());
-    if (transitions < 0 || c_violations < 0 || c_violations > transitions) {
+    StagedConstraint sc;
+    RTIC_ASSIGN_OR_RETURN(sc.transitions, r.ReadInt());
+    RTIC_ASSIGN_OR_RETURN(sc.violations, r.ReadInt());
+    if (sc.transitions < 0 || sc.violations < 0 ||
+        sc.violations > sc.transitions) {
       return Status::InvalidArgument(
-          "implausible constraint counters in checkpoint for '" + name +
-          "'");
+          "implausible constraint counters in checkpoint for '" + name + "'");
     }
-    counters.emplace_back(transitions, c_violations);
-    RTIC_ASSIGN_OR_RETURN(std::string engine_state, r.ReadString());
-    engine_states.push_back(std::move(engine_state));
+    RTIC_ASSIGN_OR_RETURN(std::int64_t marker, r.ReadInt());
+    // A since-empty record carries every engine: there is no earlier
+    // engine state for a "0 = unchanged" marker to refer to.
+    if (marker != 1 && (marker != 0 || since_empty)) {
+      return Status::InvalidArgument(
+          "bad engine-state marker in checkpoint for '" + name + "'");
+    }
+    sc.has_blob = marker == 1;
+    if (sc.has_blob) {
+      RTIC_ASSIGN_OR_RETURN(sc.blob, r.ReadString());
+    }
+    staged_constraints.push_back(std::move(sc));
   }
   if (!r.AtEnd()) {
     return Status::InvalidArgument("trailing bytes in checkpoint");
   }
 
-  // Validation done; apply engine states (these validate constraint texts
-  // themselves) and only then commit the monitor-level fields. Counters
-  // resume from the checkpoint; timing stats restart (they are wall-clock
-  // measurements of this process, not monitor state).
+  // Monitor-level validation done. Engine loads validate (and install)
+  // their own blobs; a failure here surfaces to the recovery manager,
+  // which evicts this checkpoint and reinstalls the chain from its base,
+  // so no partially-applied state survives into a successful recovery.
+  // Counters resume from the checkpoint; timing stats restart (they are
+  // wall-clock measurements of this process, not monitor state).
   for (std::size_t i = 0; i < constraints_.size(); ++i) {
-    RTIC_RETURN_IF_ERROR(
-        constraints_[i]->engine->LoadState(engine_states[i]));
-    constraints_[i]->transitions =
-        static_cast<std::size_t>(counters[i].first);
-    constraints_[i]->violations =
-        static_cast<std::size_t>(counters[i].second);
+    const StagedConstraint& sc = staged_constraints[i];
+    if (sc.has_blob) {
+      RTIC_RETURN_IF_ERROR(constraints_[i]->engine->LoadState(sc.blob));
+    }
+    constraints_[i]->transitions = static_cast<std::size_t>(sc.transitions);
+    constraints_[i]->violations = static_cast<std::size_t>(sc.violations);
     constraints_[i]->total_check_micros = 0;
     constraints_[i]->max_check_micros = 0;
     constraints_[i]->last_check_micros = 0;
   }
-  db_ = std::move(restored_db);
+  for (auto& [name, staged] : staged_tables) {
+    *db_.GetMutableTable(name).value() = std::move(staged);
+  }
   transition_count_ = static_cast<std::size_t>(transition_count);
   current_time_ = current_time;
   total_violations_ = static_cast<std::size_t>(total_violations);
-  // The restored state is the new delta baseline.
+  // The loaded state is the new delta baseline.
   ResetCheckpointTracking();
   return Status::OK();
 }
@@ -792,199 +886,6 @@ void ConstraintMonitor::TrackBatchDelta(const UpdateBatch& batch) {
       if (delta.removed.erase(row) == 0) delta.added.insert(row);
     }
   }
-}
-
-Result<std::string> ConstraintMonitor::SaveStateDelta() {
-  if (!delta_tracking_) {
-    return Status::FailedPrecondition(
-        "SaveStateDelta() requires BeginDeltaTracking()");
-  }
-  StateWriter w;
-  w.WriteString(kMonitorMagic);
-  w.WriteString(kKindDelta);
-  w.WriteSize(checkpoint_parent_transitions_);
-  w.WriteInt(static_cast<std::int64_t>(transition_count_));
-  w.WriteInt(current_time_);
-  w.WriteInt(static_cast<std::int64_t>(total_violations_));
-
-  std::size_t changed_tables = 0;
-  for (const auto& [name, delta] : table_deltas_) {
-    if (!delta.removed.empty() || !delta.added.empty()) ++changed_tables;
-  }
-  w.WriteSize(changed_tables);
-  for (const auto& [name, delta] : table_deltas_) {
-    if (delta.removed.empty() && delta.added.empty()) continue;
-    w.WriteString(name);
-    w.WriteSize(delta.removed.size());
-    for (const Tuple& row : delta.removed) w.WriteTuple(row);
-    w.WriteSize(delta.added.size());
-    for (const Tuple& row : delta.added) w.WriteTuple(row);
-  }
-
-  w.WriteSize(constraints_.size());
-  for (const auto& c : constraints_) {
-    w.WriteString(c->name);
-    w.WriteSize(c->transitions);
-    w.WriteSize(c->violations);
-    if (!c->engine->StateDirty()) {
-      w.WriteInt(0);  // unchanged since the parent checkpoint
-    } else if (c->engine->SupportsStateDelta()) {
-      RTIC_ASSIGN_OR_RETURN(std::string blob, c->engine->SaveStateDelta());
-      w.WriteInt(1);  // engine-level delta
-      w.WriteString(blob);
-    } else {
-      RTIC_ASSIGN_OR_RETURN(std::string blob, c->engine->SaveState());
-      w.WriteInt(2);  // full engine blob (engine cannot delta)
-      w.WriteString(blob);
-    }
-  }
-  // This delta is now the baseline: the caller chains the next delta onto
-  // it (a write failure downstream forces a base checkpoint instead).
-  ResetCheckpointTracking();
-  return w.str();
-}
-
-Status ConstraintMonitor::LoadStateDelta(const std::string& data) {
-  const std::string* payload = &data;
-  std::string decompressed;
-  if (LooksCompressed(data)) {
-    RTIC_ASSIGN_OR_RETURN(decompressed, Decompress(data));
-    payload = &decompressed;
-  }
-  StateReader r(*payload);
-  RTIC_ASSIGN_OR_RETURN(std::string magic, r.ReadString());
-  if (magic != kMonitorMagic) {
-    return Status::InvalidArgument("not an rtic delta checkpoint");
-  }
-  RTIC_ASSIGN_OR_RETURN(std::string kind, r.ReadString());
-  if (kind != kKindDelta) {
-    return Status::InvalidArgument("not a delta checkpoint (kind '" + kind +
-                                   "'); use LoadState()");
-  }
-  RTIC_ASSIGN_OR_RETURN(std::int64_t parent_transitions, r.ReadInt());
-  if (parent_transitions != static_cast<std::int64_t>(transition_count_)) {
-    return Status::FailedPrecondition(
-        "delta checkpoint chains to a different parent state (parent saw " +
-        std::to_string(parent_transitions) + " transitions, this monitor " +
-        std::to_string(transition_count_) + ")");
-  }
-  RTIC_ASSIGN_OR_RETURN(std::int64_t transition_count, r.ReadInt());
-  RTIC_ASSIGN_OR_RETURN(Timestamp current_time, r.ReadInt());
-  RTIC_ASSIGN_OR_RETURN(std::int64_t total_violations, r.ReadInt());
-  if (transition_count < parent_transitions || total_violations < 0 ||
-      current_time < current_time_) {
-    return Status::InvalidArgument(
-        "implausible counters in delta checkpoint");
-  }
-
-  // Stage table changes on copies so a rejected delta leaves the live
-  // database untouched.
-  RTIC_ASSIGN_OR_RETURN(std::int64_t table_count, r.ReadInt());
-  if (table_count < 0) {
-    return Status::InvalidArgument("bad table count in delta checkpoint");
-  }
-  std::vector<std::pair<std::string, Table>> staged_tables;
-  for (std::int64_t i = 0; i < table_count; ++i) {
-    RTIC_ASSIGN_OR_RETURN(std::string name, r.ReadString());
-    if (!staged_tables.empty() && name <= staged_tables.back().first) {
-      return Status::InvalidArgument(
-          "delta checkpoint tables out of order at '" + name + "'");
-    }
-    RTIC_ASSIGN_OR_RETURN(const Table* live, db_.GetTable(name));
-    Table staged = *live;
-    RTIC_ASSIGN_OR_RETURN(std::int64_t removed, r.ReadInt());
-    if (removed < 0) {
-      return Status::InvalidArgument("bad row count in delta checkpoint");
-    }
-    for (std::int64_t k = 0; k < removed; ++k) {
-      RTIC_ASSIGN_OR_RETURN(Tuple row, r.ReadTuple());
-      if (!staged.Erase(row)) {
-        return Status::FailedPrecondition(
-            "delta checkpoint removes a row not present in table " + name);
-      }
-    }
-    RTIC_ASSIGN_OR_RETURN(std::int64_t added, r.ReadInt());
-    if (added < 0) {
-      return Status::InvalidArgument("bad row count in delta checkpoint");
-    }
-    for (std::int64_t k = 0; k < added; ++k) {
-      RTIC_ASSIGN_OR_RETURN(Tuple row, r.ReadTuple());
-      RTIC_ASSIGN_OR_RETURN(bool inserted, staged.Insert(std::move(row)));
-      if (!inserted) {
-        return Status::FailedPrecondition(
-            "delta checkpoint adds a row already present in table " + name);
-      }
-    }
-    staged_tables.emplace_back(std::move(name), std::move(staged));
-  }
-
-  RTIC_ASSIGN_OR_RETURN(std::int64_t constraint_count, r.ReadInt());
-  if (constraint_count != static_cast<std::int64_t>(constraints_.size())) {
-    return Status::FailedPrecondition(
-        "delta checkpoint constraint count does not match registration");
-  }
-  struct StagedConstraint {
-    std::int64_t transitions = 0;
-    std::int64_t violations = 0;
-    std::int64_t marker = 0;
-    std::string blob;
-  };
-  std::vector<StagedConstraint> staged_constraints;
-  for (std::int64_t i = 0; i < constraint_count; ++i) {
-    RTIC_ASSIGN_OR_RETURN(std::string name, r.ReadString());
-    if (name != constraints_[static_cast<std::size_t>(i)]->name) {
-      return Status::FailedPrecondition(
-          "delta checkpoint constraint order/name mismatch at '" + name +
-          "'");
-    }
-    StagedConstraint sc;
-    RTIC_ASSIGN_OR_RETURN(sc.transitions, r.ReadInt());
-    RTIC_ASSIGN_OR_RETURN(sc.violations, r.ReadInt());
-    if (sc.transitions < 0 || sc.violations < 0 ||
-        sc.violations > sc.transitions) {
-      return Status::InvalidArgument(
-          "implausible constraint counters in delta checkpoint for '" +
-          name + "'");
-    }
-    RTIC_ASSIGN_OR_RETURN(sc.marker, r.ReadInt());
-    if (sc.marker < 0 || sc.marker > 2) {
-      return Status::InvalidArgument(
-          "bad engine-state marker in delta checkpoint for '" + name + "'");
-    }
-    if (sc.marker != 0) {
-      RTIC_ASSIGN_OR_RETURN(sc.blob, r.ReadString());
-    }
-    staged_constraints.push_back(std::move(sc));
-  }
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes in delta checkpoint");
-  }
-
-  // Monitor-level validation done. Engine loads validate (and install)
-  // their own blobs; a failure here surfaces to the recovery manager,
-  // which evicts this delta and reinstalls the chain from its base, so no
-  // partially-applied state survives into a successful recovery.
-  for (std::size_t i = 0; i < constraints_.size(); ++i) {
-    const StagedConstraint& sc = staged_constraints[i];
-    if (sc.marker == 1) {
-      RTIC_RETURN_IF_ERROR(constraints_[i]->engine->LoadStateDelta(sc.blob));
-    } else if (sc.marker == 2) {
-      RTIC_RETURN_IF_ERROR(constraints_[i]->engine->LoadState(sc.blob));
-    }
-    constraints_[i]->transitions = static_cast<std::size_t>(sc.transitions);
-    constraints_[i]->violations = static_cast<std::size_t>(sc.violations);
-    constraints_[i]->total_check_micros = 0;
-    constraints_[i]->max_check_micros = 0;
-    constraints_[i]->last_check_micros = 0;
-  }
-  for (auto& [name, staged] : staged_tables) {
-    *db_.GetMutableTable(name).value() = std::move(staged);
-  }
-  transition_count_ = static_cast<std::size_t>(transition_count);
-  current_time_ = current_time;
-  total_violations_ = static_cast<std::size_t>(total_violations);
-  ResetCheckpointTracking();
-  return Status::OK();
 }
 
 }  // namespace rtic

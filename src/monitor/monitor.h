@@ -246,39 +246,36 @@ class ConstraintMonitor : public MonitorLike {
   std::vector<ConstraintStats> Stats() const override;
 
   /// Serializes the whole monitor — current database, clock, and every
-  /// constraint checker's state — to a portable checkpoint. Requires every
-  /// registered constraint to use a checkpointable engine (incremental or
-  /// response); fails with Unimplemented otherwise.
+  /// constraint checker's state — to a self-contained RTICMON4 checkpoint
+  /// (the changes since the empty state). Requires every registered
+  /// constraint to use a checkpointable engine (incremental or response);
+  /// fails with Unimplemented otherwise.
   Result<std::string> SaveState() const;
 
-  /// Restores a SaveState() checkpoint into a monitor with the SAME tables
-  /// and constraints registered (names and schemas are validated).
-  /// Replaces the database, all checker state, and the per-constraint
+  /// Applies a SaveState() or SaveStateDelta() checkpoint (or a compressed
+  /// frame of either) into a monitor with the SAME tables and constraints
+  /// registered (names and schemas are validated). A SaveState() record
+  /// replaces the database, all checker state, and the per-constraint
   /// transition/violation counters (so Stats() stays consistent with
-  /// total_violations() across recovery); per-constraint timing statistics
-  /// restart from zero. Accepts the current RTICMON3 format, legacy
-  /// RTICMON2 checkpoints (recorded before delta checkpoints existed), and
-  /// compressed frames of either; checkpoints from before RTICMON2 are
-  /// rejected with InvalidArgument.
+  /// total_violations() across recovery); a SaveStateDelta() record
+  /// applies only on top of its exact parent state (validated via the
+  /// transition count). Per-constraint timing statistics restart from
+  /// zero. Older checkpoint versions (RTICMON1/2/3) are rejected with
+  /// Unimplemented, naming the version.
   Status LoadState(const std::string& data);
 
   /// Arms delta-checkpoint tracking: table-level change sets in the
   /// monitor plus per-engine dirty tracking. Recover() arms this
   /// automatically when checkpoint_delta_chain > 0; call it directly only
-  /// to use SaveStateDelta()/LoadStateDelta() without a WAL. Idempotent.
+  /// to use SaveStateDelta() without a WAL. Idempotent.
   void BeginDeltaTracking();
 
   /// Serializes only what changed since the last checkpoint baseline
-  /// (the last SaveStateDelta/LoadState/LoadStateDelta that reset
-  /// tracking): table-level row deltas plus per-engine delta or full
-  /// blobs. Requires BeginDeltaTracking(). Unlike the const SaveState(),
-  /// a successful call makes the current state the new baseline.
+  /// (the last SaveStateDelta/LoadState that reset tracking): table-level
+  /// row deltas plus the dirty engines' since-last-save blobs. Requires
+  /// BeginDeltaTracking(). Unlike the const SaveState(), a successful call
+  /// makes the current state the new baseline.
   Result<std::string> SaveStateDelta();
-
-  /// Applies a SaveStateDelta() blob on top of monitor state equal to the
-  /// parent checkpoint's (validated via the transition count). Used by
-  /// recovery to install base+delta chains.
-  Status LoadStateDelta(const std::string& data);
 
   /// Checkpoint-write statistics (durable mode; zeros otherwise).
   const CheckpointStats& checkpoint_stats() const { return checkpoint_stats_; }
@@ -302,6 +299,11 @@ class ConstraintMonitor : public MonitorLike {
   /// (deleting an absent row, inserting a present one) mean the effective
   /// change depends on what is currently stored.
   void TrackBatchDelta(const UpdateBatch& batch);
+
+  /// The one checkpoint writer: the changes since the empty state
+  /// (`since_empty`: every table and engine) or since the baseline (only
+  /// changed tables and dirty engines).
+  Result<std::string> EncodeCheckpoint(bool since_empty) const;
 
   /// Declares the current state the checkpoint baseline: clears table
   /// deltas, records the parent transition count, and marks every engine's

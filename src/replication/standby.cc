@@ -157,7 +157,7 @@ Status StandbyMonitor::InstallBestChain() {
       }
     }
     if (next == nullptr) break;
-    Status s = replica_->LoadStateDelta(next->payload);
+    Status s = replica_->LoadState(next->payload);
     if (!s.ok()) {
       // A delta that fails against its exact parent state chains to a
       // logical state this replica never reached (e.g. files from two

@@ -203,13 +203,17 @@ Status RecoveryManager::RestoreLatestCheckpoint(ReplayTarget* target) {
     // Install: base first, then deltas ascending. A target-level rejection
     // (e.g. a delta chaining to a different logical state) evicts that file
     // and restarts; the retried chain re-installs its base from scratch, so
-    // partial progress here cannot leak into the next attempt.
+    // partial progress here cannot leak into the next attempt. A version
+    // this build cannot read is not damage: the file is intact and the WAL
+    // it covers may already be collected, so recovery stops and keeps it.
     bool rejected = false;
     for (std::size_t k = chain.size(); k-- > 0;) {
       const CkptEntry& e = entries[chain[k]];
-      Status s = e.is_delta
-                     ? target->RestoreCheckpointDelta(payloads[k])
-                     : target->RestoreCheckpoint(payloads[k]);
+      Status s = target->RestoreCheckpoint(payloads[k]);
+      if (s.code() == StatusCode::kUnimplemented) {
+        return Status::Unimplemented("checkpoint " + e.name + ": " +
+                                     s.message());
+      }
       if (!s.ok()) {
         RTIC_RETURN_IF_ERROR(RemoveCheckpointFile(e.name, s.message()));
         entries.erase(entries.begin() + static_cast<std::ptrdiff_t>(chain[k]));

@@ -44,10 +44,9 @@ struct WalOptions {
   std::size_t checkpoint_interval = 64;
   /// Maximum delta checkpoints chained onto one base snapshot before
   /// PlanCheckpoint() forces a new base. 0 disables delta checkpoints
-  /// (every checkpoint is a full base, the pre-RTICMON3 behavior). Larger
-  /// values bound checkpoint cost by churn for longer, at the price of
-  /// recovery installing a longer chain and segment GC retaining the WAL
-  /// back to the base.
+  /// (every checkpoint is a full base). Larger values bound checkpoint
+  /// cost by churn for longer, at the price of recovery installing a
+  /// longer chain and segment GC retaining the WAL back to the base.
   std::size_t delta_chain_limit = 8;
   /// Segment rotation threshold in bytes.
   std::size_t segment_bytes = 4u << 20;
@@ -74,18 +73,12 @@ class ReplayTarget {
  public:
   virtual ~ReplayTarget() = default;
 
-  /// Installs a base checkpoint payload (monitor LoadState).
+  /// Installs one checkpoint payload (monitor LoadState). A payload names
+  /// its own parent: a base replaces the target's state, and a delta
+  /// applies on top of the base and earlier deltas of its chain, which are
+  /// installed first. A target that cannot read the payload's version
+  /// returns Unimplemented; recovery then fails and keeps the file.
   virtual Status RestoreCheckpoint(const std::string& payload) = 0;
-
-  /// Applies a delta checkpoint payload on top of the state installed by
-  /// RestoreCheckpoint and any earlier deltas of the same chain (monitor
-  /// LoadStateDelta). Targets that never write delta checkpoints can keep
-  /// the default.
-  virtual Status RestoreCheckpointDelta(const std::string& payload) {
-    (void)payload;
-    return Status::Unimplemented(
-        "this ReplayTarget does not support delta checkpoints");
-  }
 
   /// Re-applies one logged batch (monitor ApplyUpdate, checks included).
   virtual Status Replay(const UpdateBatch& batch) = 0;
@@ -160,7 +153,9 @@ class RecoveryManager {
 
   /// Restores the newest checkpoint chain (base + deltas) whose files all
   /// validate into `target`; removes files that fail validation or whose
-  /// parent link is broken, falling back to older chains.
+  /// parent link is broken, falling back to older chains. A file whose
+  /// version `target` cannot read (Unimplemented) fails recovery and stays
+  /// on disk.
   Status RestoreLatestCheckpoint(ReplayTarget* target);
 
   /// Logs `reason`, unlinks checkpoint file `name`, counts the removal.

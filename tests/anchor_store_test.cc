@@ -11,7 +11,7 @@
 //     unbounded upper bound) must produce identical tables, identical
 //     published current relations, and identical mutation deltas — the
 //     deltas drive the delta-checkpoint dirty bits, so over- OR
-//     under-reporting would change RTICINCD1 bytes;
+//     under-reporting would change delta-checkpoint bytes;
 //   * the checkpoint encoding must stay byte-identical to the former
 //     WriteAnchors map encoding;
 //   * a store rebuilt through DecodeReplace + Rehydrate must continue
@@ -466,16 +466,18 @@ TEST(AnchorStoreEngineTest, SettledNodesStayOutOfDeltas) {
   Database db = Unwrap(testing::BuildState(
       PQRSchemas(), ScenarioStep{0, {{"Q", {T(I(1))}}, {"P", {T(I(1))}}}}));
   (void)Unwrap(engine->OnTransition(db, 1));
-  (void)Unwrap(engine->SaveStateDelta());
+  (void)Unwrap(engine->SaveState(/*since_empty=*/false));
   engine->MarkStateSaved();
 
   // Same state re-applied: Q(1)'s anchor is dominated by the existing one,
   // so the once-node is untouched; only the clock advances.
   (void)Unwrap(engine->OnTransition(db, 2));
-  const std::string quiet_a = Unwrap(engine->SaveStateDelta());
+  const std::string quiet_a =
+      Unwrap(engine->SaveState(/*since_empty=*/false));
   engine->MarkStateSaved();
   (void)Unwrap(engine->OnTransition(db, 3));
-  const std::string quiet_b = Unwrap(engine->SaveStateDelta());
+  const std::string quiet_b =
+      Unwrap(engine->SaveState(/*since_empty=*/false));
   engine->MarkStateSaved();
   // Two quiet deltas differ only in the clock — identical size means no
   // node payloads were written.
@@ -486,7 +488,8 @@ TEST(AnchorStoreEngineTest, SettledNodesStayOutOfDeltas) {
       PQRSchemas(),
       ScenarioStep{0, {{"Q", {T(I(1)), T(I(2))}}, {"P", {T(I(1))}}}}));
   (void)Unwrap(engine->OnTransition(db2, 4));
-  const std::string busy = Unwrap(engine->SaveStateDelta());
+  const std::string busy =
+      Unwrap(engine->SaveState(/*since_empty=*/false));
   EXPECT_GT(busy.size(), quiet_b.size());
 }
 
@@ -519,9 +522,10 @@ TEST(AnchorStoreEngineTest, TemporalShadowTracksViaDeltasAndContinues) {
       Database db = RandomPQState(&rng, rng.Bernoulli(0.4) ? 0.0 : 0.4);
       (void)Unwrap(primary->OnTransition(db, t));
       if (step % 5 == 0) {
-        std::string delta = Unwrap(primary->SaveStateDelta());
+        std::string delta =
+            Unwrap(primary->SaveState(/*since_empty=*/false));
         primary->MarkStateSaved();
-        RTIC_ASSERT_OK(shadow->LoadStateDelta(delta));
+        RTIC_ASSERT_OK(shadow->LoadState(delta));
         ASSERT_EQ(Unwrap(shadow->SaveState()), Unwrap(primary->SaveState()))
             << "shadow diverged at step " << step;
       }

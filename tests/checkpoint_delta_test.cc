@@ -8,7 +8,11 @@
 //     a base (or the WAL back to it) while deltas still reference it, so a
 //     lost or corrupt delta degrades to base + longer replay, never data
 //     loss,
-//   * pre-delta RTICMON2 checkpoint files still recover,
+//   * one loader reads both kinds: a delta only onto its exact parent, and
+//     a truncated record either fails without side effects or means the
+//     same as the whole record,
+//   * a checkpoint file of a retired version fails recovery and stays on
+//     disk byte-for-byte,
 //   * compressed and uncompressed checkpoints interoperate freely and
 //     recover byte-identically, and corrupt compressed frames are rejected,
 //   * delta payload size scales with churn, not state size.
@@ -128,8 +132,8 @@ TEST(DeltaFileNameTest, RoundTripsAndRejectsMalformedNames) {
 
 // ---- engine-level deltas ------------------------------------------------
 
-// Differential check: an engine maintained purely through SaveStateDelta /
-// LoadStateDelta stays byte-identical to the engine it shadows.
+// Differential check: an engine maintained purely through since-last-save
+// SaveState / LoadState stays byte-identical to the engine it shadows.
 TEST(EngineDeltaTest, ShadowEngineTracksViaDeltasByteIdentically) {
   const std::string text =
       "forall e, s, s0: Emp(e, s) and previous Emp(e, s0) implies s >= s0";
@@ -155,9 +159,10 @@ TEST(EngineDeltaTest, ShadowEngineTracksViaDeltasByteIdentically) {
     (void)Unwrap(table->Insert(T(I(id), I(s))));
     (void)primary->OnTransition(db, step);
     if (step % 7 == 0) {
-      std::string delta = Unwrap(primary->SaveStateDelta());
+      std::string delta =
+          Unwrap(primary->SaveState(/*since_empty=*/false));
       primary->MarkStateSaved();
-      RTIC_ASSERT_OK(shadow->LoadStateDelta(delta));
+      RTIC_ASSERT_OK(shadow->LoadState(delta));
       ASSERT_EQ(Unwrap(shadow->SaveState()), Unwrap(primary->SaveState()))
           << "shadow diverged at step " << step;
     }
@@ -180,13 +185,13 @@ TEST(EngineDeltaTest, DeltaOntoWrongParentRejected) {
   Table* table = Unwrap(db.GetMutableTable("P"));
   (void)Unwrap(table->Insert(T(I(1))));
   (void)a->OnTransition(db, 1);
-  std::string delta = Unwrap(a->SaveStateDelta());
+  std::string delta = Unwrap(a->SaveState(/*since_empty=*/false));
   // b is still at its initial state, which is NOT the delta's parent (the
   // parent saw value 1 absorbed into the domain)... the initial state has
   // an empty domain, so the chain check fires.
   (void)Unwrap(table->Insert(T(I(2))));
   (void)b->OnTransition(db, 1);
-  Status s = b->LoadStateDelta(delta);
+  Status s = b->LoadState(delta);
   EXPECT_FALSE(s.ok());
 }
 
@@ -217,7 +222,7 @@ TEST(MonitorDeltaTest, StackedDeltasRestoreAndContinueIdentically) {
   auto restored = MakeMonitor(MonitorOptions{});
   RTIC_ASSERT_OK(restored->LoadState(base));
   for (const std::string& delta : deltas) {
-    RTIC_ASSERT_OK(restored->LoadStateDelta(delta));
+    RTIC_ASSERT_OK(restored->LoadState(delta));
   }
   EXPECT_EQ(Unwrap(restored->SaveState()), Unwrap(primary->SaveState()));
   EXPECT_EQ(restored->transition_count(), primary->transition_count());
@@ -242,24 +247,24 @@ TEST(MonitorDeltaTest, DeltaOntoWrongParentRejected) {
 
   // A monitor that never saw batch 0 is not the delta's parent.
   auto b = MakeMonitor(MonitorOptions{});
-  Status s = b->LoadStateDelta(delta);
+  Status s = b->LoadState(delta);
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
 
   // Neither is one that already advanced past it.
   auto c = MakeMonitor(MonitorOptions{});
   RTIC_ASSERT_OK(c->LoadState(base));
   RTIC_ASSERT_OK(c->ApplyUpdate(MakeBatch(1)).status());
-  EXPECT_EQ(c->LoadStateDelta(delta).code(),
+  EXPECT_EQ(c->LoadState(delta).code(),
             StatusCode::kFailedPrecondition);
 
   // The parent itself accepts it.
   auto d = MakeMonitor(MonitorOptions{});
   RTIC_ASSERT_OK(d->LoadState(base));
-  RTIC_ASSERT_OK(d->LoadStateDelta(delta));
+  RTIC_ASSERT_OK(d->LoadState(delta));
   EXPECT_EQ(Unwrap(d->SaveState()), Unwrap(a->SaveState()));
 }
 
-TEST(MonitorDeltaTest, DeltaRejectedByLoadStateAndViceVersa) {
+TEST(MonitorDeltaTest, LoadStateAppliesDeltaOnlyOntoItsParent) {
   auto a = MakeMonitor(MonitorOptions{});
   a->BeginDeltaTracking();
   RTIC_ASSERT_OK(a->ApplyUpdate(MakeBatch(0)).status());
@@ -268,9 +273,92 @@ TEST(MonitorDeltaTest, DeltaRejectedByLoadStateAndViceVersa) {
   RTIC_ASSERT_OK(a->ApplyUpdate(MakeBatch(1)).status());
   std::string delta = Unwrap(a->SaveStateDelta());
 
+  // Onto a state that is not its parent the delta is rejected, and the
+  // monitor keeps its state.
   auto b = MakeMonitor(MonitorOptions{});
-  EXPECT_EQ(b->LoadState(delta).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(b->LoadStateDelta(base).code(), StatusCode::kInvalidArgument);
+  const std::string empty = Unwrap(b->SaveState());
+  EXPECT_EQ(b->LoadState(delta).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(Unwrap(b->SaveState()), empty);
+
+  // Onto its exact parent the same loader applies it.
+  RTIC_ASSERT_OK(b->LoadState(base));
+  RTIC_ASSERT_OK(b->LoadState(delta));
+  EXPECT_EQ(Unwrap(b->SaveState()), Unwrap(a->SaveState()));
+
+  // A base names the empty state as its parent, so it loads over any
+  // state, including one already past it.
+  RTIC_ASSERT_OK(b->LoadState(base));
+  EXPECT_EQ(b->transition_count(), 1u);
+}
+
+/// The alarm workload of the random-workload property test below, and a
+/// monitor registered for it.
+workload::Workload AlarmWorkload(std::uint64_t seed) {
+  workload::AlarmParams params;
+  params.length = 60;
+  params.num_alarms = 6;
+  params.late_prob = 0.25;
+  params.seed = seed;
+  return workload::MakeAlarmWorkload(params);
+}
+
+std::unique_ptr<ConstraintMonitor> AlarmMonitor(const workload::Workload& wl) {
+  auto monitor = std::make_unique<ConstraintMonitor>();
+  for (const auto& [name, schema] : wl.schema) {
+    RTIC_EXPECT_OK(monitor->CreateTable(name, schema));
+  }
+  for (const auto& [name, text] : wl.constraints) {
+    RTIC_EXPECT_OK(monitor->RegisterConstraint(name, text));
+  }
+  return monitor;
+}
+
+// Every proper prefix of a since-empty record and of a delta record is fed
+// to LoadState on the delta's parent state. A prefix must either be
+// rejected with the monitor's state unchanged, or — when the cut only drops
+// trailing separators — be accepted with the same result as the whole
+// record.
+TEST(MonitorDeltaTest, TruncatedRecordsFailWithoutSideEffects) {
+  const workload::Workload wl = AlarmWorkload(3);
+  auto primary = AlarmMonitor(wl);
+  primary->BeginDeltaTracking();
+  const std::size_t half = wl.batches.size() / 2;
+  for (std::size_t i = 0; i < half; ++i) {
+    RTIC_ASSERT_OK(primary->ApplyUpdate(wl.batches[i]).status());
+  }
+  const std::string parent = Unwrap(primary->SaveState());
+  RTIC_ASSERT_OK(primary->LoadState(parent));
+  for (std::size_t i = half; i < wl.batches.size(); ++i) {
+    RTIC_ASSERT_OK(primary->ApplyUpdate(wl.batches[i]).status());
+  }
+  const std::string base = Unwrap(primary->SaveState());
+  const std::string delta = Unwrap(primary->SaveStateDelta());
+  ASSERT_GT(primary->total_violations(), 0u);
+
+  auto at_parent = [&wl, &parent] {
+    auto monitor = AlarmMonitor(wl);
+    RTIC_EXPECT_OK(monitor->LoadState(parent));
+    return monitor;
+  };
+  for (const std::string* record : {&base, &delta}) {
+    SCOPED_TRACE(record == &base ? "since-empty record" : "delta record");
+    auto whole = at_parent();
+    RTIC_ASSERT_OK(whole->LoadState(*record));
+    const std::string want = Unwrap(whole->SaveState());
+    ASSERT_EQ(want, base);
+
+    auto target = at_parent();
+    const std::string before = Unwrap(target->SaveState());
+    for (std::size_t n = 0; n < record->size(); ++n) {
+      Status s = target->LoadState(record->substr(0, n));
+      if (s.ok()) {
+        ASSERT_EQ(Unwrap(target->SaveState()), want) << "prefix " << n;
+        target = at_parent();
+      } else {
+        ASSERT_EQ(Unwrap(target->SaveState()), before) << "prefix " << n;
+      }
+    }
+  }
 }
 
 // Delta payloads are priced by churn: a monitor with a large quiet table
@@ -462,14 +550,14 @@ TEST(DurableDeltaTest, OrphanDeltaWithMissingParentIsEvicted) {
       << "the unusable orphan must be evicted, not retried forever";
 }
 
-// Forward compatibility: a checkpoint file recorded by the previous build
-// (RTICMON2 payload, no kind token, never compressed) must still recover.
-TEST(DurableDeltaTest, LegacyRticmon2CheckpointFileStillRecovers) {
+// A checkpoint file of a retired version is intact, and segment GC may
+// already have removed the WAL records it covers: recovery must fail with
+// the version named and leave the file exactly as it was, not evict it.
+TEST(DurableDeltaTest, RetiredCheckpointVersionFailsRecoveryAndKeepsFile) {
   const std::string dir = MakeTempDir() + "/wal";
   Cfg cfg;
   cfg.interval = 4;
-  cfg.delta_chain = 0;  // the legacy build wrote only full snapshots
-  auto reference = MakeMonitor(MonitorOptions{});
+  cfg.delta_chain = 0;
   {
     auto monitor = MakeMonitor(DurableOptions(dir, cfg));
     RTIC_ASSERT_OK(monitor->Recover().status());
@@ -477,12 +565,8 @@ TEST(DurableDeltaTest, LegacyRticmon2CheckpointFileStillRecovers) {
       RTIC_ASSERT_OK(monitor->ApplyUpdate(MakeBatch(i)).status());
     }
   }
-  for (std::size_t i = 0; i < 10; ++i) {
-    RTIC_ASSERT_OK(reference->ApplyUpdate(MakeBatch(i)).status());
-  }
 
-  // Rewrite the checkpoint file's payload to the RTICMON2 layout: same
-  // body, no "base" kind token, RTICMON2 magic.
+  // Rewrite the base's payload magic to RTICMON3, re-framing the record.
   DirCensus census = Census(dir);
   ASSERT_EQ(census.bases.size(), 1u);
   const std::string path = dir + "/" + census.bases[0].second;
@@ -492,31 +576,24 @@ TEST(DurableDeltaTest, LegacyRticmon2CheckpointFileStillRecovers) {
   ASSERT_EQ(wal::ParseRecord(content, 0, &rec, &reason),
             wal::ParseOutcome::kRecord)
       << reason;
-  const std::string prefix = "8:RTICMON3 4:base ";
-  ASSERT_EQ(rec.payload.substr(0, prefix.size()), prefix);
-  const std::string legacy =
-      "8:RTICMON2 " + rec.payload.substr(prefix.size());
+  const std::string magic = "8:RTICMON4 ";
+  ASSERT_EQ(rec.payload.substr(0, magic.size()), magic);
+  const std::string retired =
+      "8:RTICMON3 " + rec.payload.substr(magic.size());
+  content = wal::EncodeRecord(rec.seq, retired);
   {
     auto file = Unwrap(
         wal::DefaultFs()->NewWritableFile(path, /*truncate=*/true));
-    RTIC_ASSERT_OK(file->Append(wal::EncodeRecord(rec.seq, legacy)));
+    RTIC_ASSERT_OK(file->Append(content));
     RTIC_ASSERT_OK(file->Close());
   }
 
-  // The new build — deltas and compression enabled — recovers it and
-  // carries on.
-  Cfg new_cfg;
-  new_cfg.interval = 4;
-  new_cfg.compression = true;
-  auto recovered = MakeMonitor(DurableOptions(dir, new_cfg));
-  RTIC_ASSERT_OK(recovered->Recover().status());
-  EXPECT_EQ(recovered->transition_count(), 10u);
-  EXPECT_EQ(Unwrap(recovered->SaveState()), Unwrap(reference->SaveState()));
-  for (std::size_t i = 10; i < 14; ++i) {
-    RTIC_ASSERT_OK(recovered->ApplyUpdate(MakeBatch(i)).status());
-    RTIC_ASSERT_OK(reference->ApplyUpdate(MakeBatch(i)).status());
-  }
-  EXPECT_EQ(Unwrap(recovered->SaveState()), Unwrap(reference->SaveState()));
+  auto recovered = MakeMonitor(DurableOptions(dir, cfg));
+  Status s = recovered->Recover().status();
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("RTICMON3"), std::string::npos) << s.ToString();
+  EXPECT_EQ(Unwrap(wal::DefaultFs()->ReadFile(path)), content)
+      << "the unreadable checkpoint must stay on disk byte-for-byte";
 }
 
 TEST(DurableDeltaTest, CompressionShrinksCheckpointFilesOnDisk) {

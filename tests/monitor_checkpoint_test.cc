@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "monitor/monitor.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
@@ -104,30 +109,76 @@ TEST(MonitorCheckpointTest, PerConstraintCountersSurviveSaveLoad) {
       << "per-constraint counters must sum to the monitor total";
 }
 
-// Checkpoints from before the counters were persisted (format RTICMON1)
-// cannot be restored consistently; they must be rejected with a message
-// naming the version, not half-loaded.
+/// `checkpoint` with its engine blob's magic replaced by `magic` (the
+/// blob's length prefix adjusted to match).
+std::string WithEngineMagic(std::string checkpoint, const std::string& magic) {
+  const std::string current = "8:RTICINC2";
+  const std::size_t at = checkpoint.find(current);
+  EXPECT_NE(at, std::string::npos);
+  if (at == std::string::npos) return checkpoint;
+  // The blob token reads "<len>:8:RTICINC2 ...".
+  std::size_t len_at = at - 1;
+  while (len_at > 0 && std::isdigit(static_cast<unsigned char>(
+                           checkpoint[len_at - 1]))) {
+    --len_at;
+  }
+  const std::size_t len =
+      std::stoul(checkpoint.substr(len_at, at - 1 - len_at));
+  const std::string replacement = std::to_string(magic.size()) + ":" + magic;
+  checkpoint.replace(at, current.size(), replacement);
+  checkpoint.replace(
+      len_at, at - 1 - len_at,
+      std::to_string(len + replacement.size() - current.size()));
+  return checkpoint;
+}
+
+// Checkpoints of retired versions — monitor records RTICMON1–3, and
+// incremental-engine blobs RTICINC1 / RTICINCD1 inside an otherwise valid
+// current record — must be rejected with a message naming the version,
+// not half-loaded.
 TEST(MonitorCheckpointTest, LegacyCheckpointVersionRejected) {
-  ConstraintMonitor a;
-  RTIC_ASSERT_OK(a.CreateTable("P", IntSchema({"a"})));
-  RTIC_ASSERT_OK(
-      a.RegisterConstraint("c", "forall a: P(a) implies once P(a)"));
+  auto make = [] {
+    auto m = std::make_unique<ConstraintMonitor>();
+    RTIC_EXPECT_OK(m->CreateTable("P", IntSchema({"a"})));
+    RTIC_EXPECT_OK(
+        m->RegisterConstraint("c", "forall a: P(a) implies once P(a)"));
+    return m;
+  };
+  auto a = make();
   UpdateBatch b1(1);
   b1.Insert("P", T(I(1)));
-  (void)Unwrap(a.ApplyUpdate(b1));
-  std::string checkpoint = Unwrap(a.SaveState());
+  (void)Unwrap(a->ApplyUpdate(b1));
+  const std::string checkpoint = Unwrap(a->SaveState());
+  const std::string monitor_magic = "8:RTICMON4";
+  ASSERT_EQ(checkpoint.substr(0, monitor_magic.size()), monitor_magic);
 
-  const std::size_t magic_at = checkpoint.find("RTICMON3");
-  ASSERT_NE(magic_at, std::string::npos);
-  checkpoint.replace(magic_at, 8, "RTICMON1");
+  struct Case {
+    std::string version;
+    std::string checkpoint;
+  };
+  std::vector<Case> cases;
+  for (const char* version : {"RTICMON1", "RTICMON2", "RTICMON3"}) {
+    cases.push_back({version, "8:" + std::string(version) +
+                                  checkpoint.substr(monitor_magic.size())});
+  }
+  for (const char* version : {"RTICINC1", "RTICINCD1"}) {
+    cases.push_back({version, WithEngineMagic(checkpoint, version)});
+  }
 
-  ConstraintMonitor b;
-  RTIC_ASSERT_OK(b.CreateTable("P", IntSchema({"a"})));
-  RTIC_ASSERT_OK(
-      b.RegisterConstraint("c", "forall a: P(a) implies once P(a)"));
-  Status s = b.LoadState(checkpoint);
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(s.message().find("RTICMON1"), std::string::npos) << s.ToString();
+  // The loading monitor holds state of its own, which must survive.
+  auto b = make();
+  UpdateBatch b2(5);
+  b2.Insert("P", T(I(2)));
+  (void)Unwrap(b->ApplyUpdate(b2));
+  const std::string before = Unwrap(b->SaveState());
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.version);
+    Status s = b->LoadState(c.checkpoint);
+    EXPECT_EQ(s.code(), StatusCode::kUnimplemented) << s.ToString();
+    EXPECT_NE(s.message().find(c.version), std::string::npos)
+        << s.ToString();
+    EXPECT_EQ(Unwrap(b->SaveState()), before);
+  }
 }
 
 TEST(MonitorCheckpointTest, NaiveEngineMonitorCannotCheckpoint) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <unordered_set>
 
 #include "tests/test_util.h"
@@ -275,10 +276,7 @@ TEST(ValueSentinelDeathTest, HashingDefaultConstructedValueAsserts) {
 #endif  // !NDEBUG && GTEST_HAS_DEATH_TEST
 
 // Parameterized sweep: hashing and ordering are consistent for every type.
-class ValueRoundTripTest : public ::testing::TestWithParam<Value> {};
-
-TEST_P(ValueRoundTripTest, SelfEqualityAndHashStability) {
-  const Value& v = GetParam();
+void ExpectSelfConsistent(const Value& v) {
   EXPECT_EQ(v, v);
   EXPECT_EQ(v.Hash(), v.Hash());
   EXPECT_FALSE(v < v);
@@ -286,13 +284,44 @@ TEST_P(ValueRoundTripTest, SelfEqualityAndHashStability) {
   EXPECT_TRUE((t == Tuple{v}));
 }
 
+class ValueRoundTripTest : public ::testing::TestWithParam<Value> {};
+
+TEST_P(ValueRoundTripTest, SelfEqualityAndHashStability) {
+  ExpectSelfConsistent(GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllTypes, ValueRoundTripTest,
     ::testing::Values(Value::Int64(0), Value::Int64(-1),
                       Value::Int64(1'000'000'007), Value::Double(0.0),
-                      Value::Double(-2.5), Value::String(""),
-                      Value::String("hello world"), Value::Bool(true),
-                      Value::Bool(false)));
+                      Value::Double(-2.5)));
+
+// gtest prints a Value parameter as its raw object bytes, and CTest names each
+// case after that print. A numeric Value's bytes begin with its payload, but a
+// string's begin with a heap pointer and a bool's with uninitialized padding,
+// so their names would change from run to run. These cases are wrapped in a
+// type printed by Value::ToString() instead.
+struct PrintedValue {
+  Value value;
+};
+
+void PrintTo(const PrintedValue& p, std::ostream* os) {
+  *os << p.value.ToString();
+}
+
+class PrintedValueRoundTripTest
+    : public ::testing::TestWithParam<PrintedValue> {};
+
+TEST_P(PrintedValueRoundTripTest, SelfEqualityAndHashStability) {
+  ExpectSelfConsistent(GetParam().value);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllTypes, PrintedValueRoundTripTest,
+    ::testing::Values(PrintedValue{Value::String("")},
+                      PrintedValue{Value::String("hello world")},
+                      PrintedValue{Value::Bool(true)},
+                      PrintedValue{Value::Bool(false)}));
 
 }  // namespace
 }  // namespace rtic
