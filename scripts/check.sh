@@ -2,14 +2,16 @@
 # Repo-wide verification: the tier-1 suite, a cookbook smoke running every
 # scenario_runner command printed in docs/SCENARIOS.md, an AddressSanitizer
 # pass over the unit, fuzz, and fault ctest labels, an ASan+UBSan pass over
-# the checkpoint, shard, anchor, and workload labels plus a
+# the checkpoint, shard, anchor, workload, and property labels plus a
 # bench_e13_checkpoint smoke
 # (the codec and delta-chain paths do the bit-level byte banging most
 # likely to trip UB; the shard label's merge paths shuffle Violation
 # vectors across monitors; the anchor label hammers the columnar store's
 # span arithmetic; the workload label sweeps the scenario generators and
-# the open-loop driver), a ThreadSanitizer pass over the parallel, fault,
-# replication, server, shard, and anchor labels (group commit, the crash
+# the open-loop driver; the property label drives the evaluator and the
+# domain-dependence analysis over randomized formulas), a ThreadSanitizer
+# pass over the parallel, fault, replication, server, shard, and anchor
+# labels (group commit, the crash
 # matrices, the background shipper thread, the multi-session TCP server,
 # the sharded monitor's fan-out pool, and the shared-subplan lockstep
 # protocol are the concurrency-heavy paths), and a perf-regression gate
@@ -122,10 +124,10 @@ cmake -B build-asan -S . -DRTIC_SANITIZE=address >/dev/null
 cmake --build build-asan -j "$JOBS"
 (cd build-asan && ctest --output-on-failure -j "$JOBS" -L 'unit|fuzz|fault')
 
-echo "== asan+ubsan: checkpoint + shard + anchor + workload labels + bench_e13 smoke (build-asan-ubsan/) =="
+echo "== asan+ubsan: checkpoint + shard + anchor + workload + property labels + bench_e13 smoke (build-asan-ubsan/) =="
 cmake -B build-asan-ubsan -S . -DRTIC_SANITIZE=address+undefined >/dev/null
 cmake --build build-asan-ubsan -j "$JOBS"
-(cd build-asan-ubsan && ctest --output-on-failure -j "$JOBS" -L 'checkpoint|shard|anchor|workload')
+(cd build-asan-ubsan && ctest --output-on-failure -j "$JOBS" -L 'checkpoint|shard|anchor|workload|property')
 # A 30-second cap keeps the smoke cheap: one small-state full-vs-delta pair
 # is enough to drive the codec, the delta writer, and chain recovery under
 # both sanitizers. Codec or chain regressions fail fast here.

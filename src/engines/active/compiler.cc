@@ -3,6 +3,7 @@
 #include <map>
 #include <utility>
 
+#include "fo/domain_dependence.h"
 #include "fo/witness.h"
 #include "tl/normalizer.h"
 
@@ -44,9 +45,11 @@ Result<std::unique_ptr<ActiveEngine>> ActiveEngine::Create(
       }
     }
   }
+  const bool domain_free = !fo::DomainDependence(*normalized, analysis);
   auto engine = std::unique_ptr<ActiveEngine>(
       new ActiveEngine(std::move(normalized), std::move(analysis),
                        std::move(network), std::move(options)));
+  engine->domain_free_ = domain_free;
   RTIC_RETURN_IF_ERROR(engine->BuildStore());
   RTIC_RETURN_IF_ERROR(engine->BuildRules());
   return engine;
@@ -91,6 +94,7 @@ fo::EvalContext ActiveEngine::ContextFor(const Database& state) {
   ctx.analysis = &analysis_;
   ctx.extra_constants = &options_.extra_constants;
   ctx.domain = &domain_;
+  ctx.domain_free = domain_free_;
   ctx.resolver = [this](const Formula& node) -> Result<Relation> {
     auto it = network_.index.find(&node);
     if (it == network_.index.end()) {
@@ -241,7 +245,7 @@ Status ActiveEngine::BuildRules() {
 }
 
 Result<bool> ActiveEngine::OnTransition(const Database& state, Timestamp t) {
-  domain_.Absorb(state);
+  if (!domain_free_) domain_.Absorb(state);
   RTIC_ASSIGN_OR_RETURN(int fired, rule_engine_.ProcessTransition(state, t));
   (void)fired;
   return last_verdict_;

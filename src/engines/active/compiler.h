@@ -49,7 +49,12 @@ class ActiveEngine : public CheckerEngine {
   Result<bool> OnTransition(const Database& state, Timestamp t) override;
   Result<Relation> CurrentCounterexamples(const Database& state) override;
   std::size_t StorageRows() const override;
+  std::size_t DomainValueCount() const override { return domain_.size(); }
   const char* name() const override { return "active"; }
+
+  /// True iff fo::DomainDependence proved the constraint never reads the
+  /// active domain: the engine then keeps no domain at all.
+  bool domain_free() const { return domain_free_; }
 
   /// The underlying rule engine (introspection: rules, store tables).
   const active::RuleEngine& rule_engine() const { return rule_engine_; }
@@ -77,7 +82,8 @@ class ActiveEngine : public CheckerEngine {
   inc::CompiledNetwork network_;
   ActiveOptions options_;
   active::RuleEngine rule_engine_;
-  DomainTracker domain_;  // history's active domain (quantification range)
+  bool domain_free_ = false;
+  DomainTracker domain_;  // history's active domain; empty if domain_free_
   bool last_verdict_ = true;
 };
 

@@ -55,6 +55,11 @@ class CheckerEngine {
   /// tables (the bounded-history space measure). 0 when not applicable.
   virtual std::size_t AuxTimestampCount() const { return 0; }
 
+  /// Active-domain values the engine retains (its DomainTracker's size).
+  /// 0 for engines that keep no domain, including response and active
+  /// engines whose constraint fo::DomainDependence proved domain-free.
+  virtual std::size_t DomainValueCount() const { return 0; }
+
   /// Number of subplan handles this engine shares with engines registered
   /// earlier (see inc::SubplanRegistry). 0 for engines without sharing.
   virtual std::size_t SharedSubplans() const { return 0; }

@@ -305,6 +305,11 @@ std::size_t IncrementalEngine::StorageRows() const {
   return n;
 }
 
+std::size_t IncrementalEngine::DomainValueCount() const {
+  std::lock_guard<std::mutex> lock(domain_->mu);
+  return domain_->tracker.size();
+}
+
 std::size_t IncrementalEngine::AuxTimestampCount() const {
   // O(nodes): the stores maintain their counts.
   std::size_t n = 0;

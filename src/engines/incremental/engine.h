@@ -72,6 +72,7 @@ class IncrementalEngine : public CheckerEngine {
   Result<bool> OnTransition(const Database& state, Timestamp t) override;
   Result<Relation> CurrentCounterexamples(const Database& state) override;
   std::size_t StorageRows() const override;
+  std::size_t DomainValueCount() const override;
   const char* name() const override { return "incremental"; }
 
   /// How many shared-subplan handles (temporal nodes + verdict) this engine

@@ -34,6 +34,10 @@ class NaiveEngine : public CheckerEngine {
   Result<bool> OnTransition(const Database& state, Timestamp t) override;
   Result<Relation> CurrentCounterexamples(const Database& state) override;
   std::size_t StorageRows() const override;
+  /// The latest state's domain (earlier states' trackers are its subsets).
+  std::size_t DomainValueCount() const override {
+    return trackers_.empty() ? 0 : trackers_.back().size();
+  }
   const char* name() const override { return "naive"; }
 
   /// Evaluates any subformula of the stored constraint at history index `i`

@@ -4,6 +4,7 @@
 #include <limits>
 #include <utility>
 
+#include "fo/domain_dependence.h"
 #include "storage/codec.h"
 
 namespace rtic {
@@ -85,8 +86,10 @@ Result<std::unique_ptr<ResponseEngine>> ResponseEngine::Create(
     }
   }
 
+  const bool domain_free = !fo::DomainDependence(*clone, analysis);
   auto engine = std::unique_ptr<ResponseEngine>(new ResponseEngine(
       std::move(clone), std::move(analysis), std::move(options)));
+  engine->domain_free_ = domain_free;
   engine->trigger_ = trigger;
   engine->response_ = response;
   engine->window_ = eventually->interval();
@@ -115,6 +118,7 @@ fo::EvalContext ResponseEngine::ContextFor(const Database& state) {
   ctx.analysis = &analysis_;
   ctx.extra_constants = &options_.extra_constants;
   ctx.domain = &domain_;
+  ctx.domain_free = domain_free_;
   return ctx;
 }
 
@@ -125,7 +129,7 @@ Result<bool> ResponseEngine::OnTransition(const Database& state,
         "timestamps must be strictly increasing: " + std::to_string(t) +
         " after " + std::to_string(prev_time_));
   }
-  domain_.Absorb(state);
+  if (!domain_free_) domain_.Absorb(state);
   fo::EvalContext ctx = ContextFor(state);
 
   // 1. New obligations from the trigger.
@@ -196,6 +200,10 @@ std::size_t ResponseEngine::StorageRows() const {
   return n;
 }
 
+std::size_t ResponseEngine::DomainValueCount() const {
+  return domain_.size();
+}
+
 std::size_t ResponseEngine::PendingObligations() const {
   return StorageRows();
 }
@@ -211,6 +219,7 @@ Result<std::string> ResponseEngine::SaveState(bool /*since_empty*/) const {
   w.WriteInt(has_prev_ ? 1 : 0);
   w.WriteInt(prev_time_);
 
+  // Empty for a domain-free constraint: its tracker never absorbs.
   std::vector<Value> domain_values = domain_.AllValues();
   w.WriteSize(domain_values.size());
   for (const Value& v : domain_values) w.WriteValue(v);
@@ -246,7 +255,8 @@ Status ResponseEngine::LoadState(const std::string& data) {
     RTIC_ASSIGN_OR_RETURN(Value v, r.ReadValue());
     domain_values.push_back(std::move(v));
   }
-  domain.AbsorbValues(domain_values);
+  // A domain-free engine drops the values an older blob may carry.
+  if (!domain_free_) domain.AbsorbValues(domain_values);
 
   RTIC_ASSIGN_OR_RETURN(std::int64_t entry_count, r.ReadInt());
   std::map<Tuple, std::vector<Timestamp>> obligations;

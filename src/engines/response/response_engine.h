@@ -67,7 +67,12 @@ class ResponseEngine : public CheckerEngine {
   Result<Relation> CurrentCounterexamples(const Database& state) override;
 
   std::size_t StorageRows() const override;
+  std::size_t DomainValueCount() const override;
   const char* name() const override { return "response"; }
+
+  /// True iff fo::DomainDependence proved the trigger and response never
+  /// read the active domain: the engine then keeps no domain at all.
+  bool domain_free() const { return domain_free_; }
 
   /// Outstanding (undischarged, unexpired) obligations.
   std::size_t PendingObligations() const;
@@ -89,11 +94,14 @@ class ResponseEngine : public CheckerEngine {
   /// Checkpointing: obligations are bounded by window x trigger rate, so a
   /// response checker can be persisted and resumed without history replay,
   /// exactly like the incremental engine. Every blob is a full snapshot
-  /// (since the empty state), whatever `since_empty` asks for.
+  /// (since the empty state), whatever `since_empty` asks for; its domain
+  /// section is empty when the constraint is domain-free.
   Result<std::string> SaveState(bool since_empty = true) const override;
   Status LoadState(const std::string& data) override;
 
  private:
+  friend class ResponseEngineTestPeer;
+
   ResponseEngine(tl::FormulaPtr constraint, tl::Analysis analysis,
                  ResponseOptions options);
 
@@ -112,7 +120,8 @@ class ResponseEngine : public CheckerEngine {
   std::map<Tuple, std::vector<Timestamp>> obligations_;
 
   std::vector<ExpiredObligation> last_expired_;
-  DomainTracker domain_;
+  bool domain_free_ = false;
+  DomainTracker domain_;  // stays empty when domain_free_
   bool has_prev_ = false;
   Timestamp prev_time_ = 0;
 };

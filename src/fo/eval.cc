@@ -42,7 +42,8 @@ class Evaluator {
         // Complement of the (generated, hence complete) falsification set
         // over the quantification domain.
         RTIC_ASSIGN_OR_RETURN(Relation bad, BadSet(f));
-        Relation domain = DomainRelation(ctx_.analysis->ColumnsFor(f));
+        RTIC_ASSIGN_OR_RETURN(Relation domain,
+                              DomainRelation(ctx_.analysis->ColumnsFor(f)));
         return ra::Difference(domain, bad);
       }
       case FormulaKind::kExists: {
@@ -58,7 +59,8 @@ class Evaluator {
           keep.push_back(c.name);
         }
         RTIC_ASSIGN_OR_RETURN(Relation bad_proj, ra::Project(bad, keep));
-        Relation domain = DomainRelation(ctx_.analysis->ColumnsFor(f));
+        RTIC_ASSIGN_OR_RETURN(Relation domain,
+                              DomainRelation(ctx_.analysis->ColumnsFor(f)));
         return ra::Difference(domain, bad_proj);
       }
       case FormulaKind::kPrevious:
@@ -151,7 +153,8 @@ class Evaluator {
         // Genuine complement: domain product minus the satisfaction set.
         // (The analyzer warns when a constraint can reach this path.)
         RTIC_ASSIGN_OR_RETURN(Relation sat, Eval(f));
-        Relation domain = DomainRelation(ctx_.analysis->ColumnsFor(f));
+        RTIC_ASSIGN_OR_RETURN(Relation domain,
+                              DomainRelation(ctx_.analysis->ColumnsFor(f)));
         return ra::Difference(domain, sat);
       }
       case FormulaKind::kEventually:
@@ -392,7 +395,8 @@ class Evaluator {
       return truth ? Relation::True() : Relation::False();
     }
     // Materialize over the (one or two) free variables, then filter.
-    Relation domain = DomainRelation(ctx_.analysis->ColumnsFor(f));
+    RTIC_ASSIGN_OR_RETURN(Relation domain,
+                          DomainRelation(ctx_.analysis->ColumnsFor(f)));
     return FilterByComparison(std::move(domain), f, negated);
   }
 
@@ -500,7 +504,13 @@ class Evaluator {
 
   // ---- plumbing -----------------------------------------------------------
 
-  const std::vector<Value>& Domain(ValueType type) {
+  /// The active domain of `type`; the one place evaluation reaches it.
+  Result<const std::vector<Value>*> Domain(ValueType type) {
+    if (ctx_.domain_free) {
+      return Status::Internal(
+          "evaluation reached the active domain of a constraint proved "
+          "domain-free");
+    }
     // With a scratch and a tracker, domain values are cached across
     // evaluations and invalidated by the tracker's version (its additions
     // count — the tracker only ever grows).
@@ -512,37 +522,40 @@ class Evaluator {
         scratch_->domain_version = version;
       }
       auto it = scratch_->domain_values.find(type);
-      if (it != scratch_->domain_values.end()) return it->second;
-      return scratch_->domain_values.emplace(type, ActiveDomain(ctx_, type))
-          .first->second;
+      if (it != scratch_->domain_values.end()) return &it->second;
+      return &scratch_->domain_values.emplace(type, ActiveDomain(ctx_, type))
+                  .first->second;
     }
     auto it = domain_cache_.find(type);
-    if (it != domain_cache_.end()) return it->second;
+    if (it != domain_cache_.end()) return &it->second;
     std::vector<Value> values = ActiveDomain(ctx_, type);
-    return domain_cache_.emplace(type, std::move(values)).first->second;
+    return &domain_cache_.emplace(type, std::move(values)).first->second;
   }
 
   /// Single-column relation over the active domain of `type`, labeled
   /// `name`. Materialized once per type per domain version in the scratch;
   /// relabeling shares the row storage, so a cache hit is O(1).
-  Relation DomainColumn(const std::string& name, ValueType type) {
+  Result<Relation> DomainColumn(const std::string& name, ValueType type) {
+    // Refreshes the scratch's domain version.
+    RTIC_ASSIGN_OR_RETURN(const std::vector<Value>* values, Domain(type));
     if (scratch_ != nullptr && ctx_.domain != nullptr) {
-      const std::vector<Value>& values = Domain(type);  // refreshes version
       auto it = scratch_->domain_relations.find(type);
       if (it == scratch_->domain_relations.end()) {
         it = scratch_->domain_relations
-                 .emplace(type, ra::FromValues(name, type, values))
+                 .emplace(type, ra::FromValues(name, type, *values))
                  .first;
       }
       return it->second.WithColumns({Column{name, type}});
     }
-    return ra::FromValues(name, type, Domain(type));
+    return ra::FromValues(name, type, *values);
   }
 
-  Relation DomainRelation(const std::vector<Column>& columns) {
+  Result<Relation> DomainRelation(const std::vector<Column>& columns) {
     Relation out = Relation::True();
     for (const Column& col : columns) {
-      out = ra::CrossProduct(out, DomainColumn(col.name, col.type)).value();
+      RTIC_ASSIGN_OR_RETURN(Relation column,
+                            DomainColumn(col.name, col.type));
+      RTIC_ASSIGN_OR_RETURN(out, ra::CrossProduct(out, column));
     }
     return out;
   }
@@ -569,8 +582,9 @@ class Evaluator {
                                    const std::vector<Column>& target) {
     for (const Column& col : target) {
       if (rel.IndexOf(col.name).has_value()) continue;
-      RTIC_ASSIGN_OR_RETURN(
-          rel, ra::CrossProduct(rel, DomainColumn(col.name, col.type)));
+      RTIC_ASSIGN_OR_RETURN(Relation column,
+                            DomainColumn(col.name, col.type));
+      RTIC_ASSIGN_OR_RETURN(rel, ra::CrossProduct(rel, column));
     }
     return rel;
   }

@@ -126,6 +126,12 @@ struct EvalContext {
   /// Additional constants contributing to the active domain. May be null.
   const std::vector<Value>* extra_constants = nullptr;
 
+  /// Set by an engine whose constraint fo::DomainDependence proved
+  /// domain-free. Such an engine keeps no tracker, so reaching the active
+  /// domain means the proof was wrong: the evaluation fails with Internal
+  /// instead of quantifying over a partial domain.
+  bool domain_free = false;
+
   /// Optional reusable caches (see EvalScratch). May be null.
   EvalScratch* scratch = nullptr;
 };

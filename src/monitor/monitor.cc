@@ -54,9 +54,10 @@ std::string ConstraintStats::ToString() const {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "%s: %zu states, %zu violations, mean %.1f us, max %lld us, "
-                "%zu aux rows",
+                "%zu aux rows, %zu domain values",
                 name.c_str(), transitions, violations, MeanCheckMicros(),
-                static_cast<long long>(max_check_micros), storage_rows);
+                static_cast<long long>(max_check_micros), storage_rows,
+                domain_values);
   return buf;
 }
 
@@ -410,15 +411,23 @@ Result<std::vector<Violation>> ConstraintMonitor::ApplyUpdate(
     }
   }
 
+  // The batch is committed whatever the checks say, so every constraint
+  // counts the transition (an errored check included) and the periodic
+  // checkpoint below still runs; the first error in registration order is
+  // returned only after both.
   std::vector<Violation> violations;
+  Status first_error = Status::OK();
   for (std::size_t i = 0; i < constraints_.size(); ++i) {
     CheckOutcome& out = outcomes[i];
-    if (!out.status.ok()) return out.status;
     Registered& c = *constraints_[i];
     ++c.transitions;
     c.total_check_micros += out.micros;
     c.max_check_micros = std::max(c.max_check_micros, out.micros);
     c.last_check_micros = out.micros;
+    if (!out.status.ok()) {
+      if (first_error.ok()) first_error = out.status;
+      continue;
+    }
     if (out.holds) continue;
     ++c.violations;
     ++total_violations_;
@@ -437,6 +446,7 @@ Result<std::vector<Violation>> ConstraintMonitor::ApplyUpdate(
                         << checkpoint.ToString();
     }
   }
+  if (!first_error.ok()) return first_error;
   return violations;
 }
 
@@ -550,6 +560,7 @@ std::vector<ConstraintStats> ConstraintMonitor::Stats() const {
     s.shared_subplans = c->engine->SharedSubplans();
     s.aux_valuations = c->engine->AuxValuationCount();
     s.aux_anchors = c->engine->AuxTimestampCount();
+    s.domain_values = c->engine->DomainValueCount();
     out.push_back(std::move(s));
   }
   return out;

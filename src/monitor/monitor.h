@@ -213,7 +213,10 @@ class ConstraintMonitor : public MonitorLike {
   /// durable mode the batch is validated and appended to the WAL first; a
   /// logging failure means the batch was not applied (and, conversely, a
   /// reported failure may still leave the batch durable — after recovery
-  /// the transition count is either side of such a failure).
+  /// the transition count is either side of such a failure). A failed
+  /// constraint check happens after the batch is committed: every
+  /// constraint still counts the transition, the periodic checkpoint still
+  /// runs, and the first check error in registration order is returned.
   Result<std::vector<Violation>> ApplyUpdate(const UpdateBatch& batch) override;
 
   /// Pure clock tick: a transition that changes no tuples. Real-time

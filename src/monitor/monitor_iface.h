@@ -42,6 +42,9 @@ struct ConstraintStats {
                                     // tables (0 for engines without them)
   std::size_t aux_anchors = 0;      // anchor timestamps retained in temporal
                                     // aux tables (bounded-history measure)
+  std::size_t domain_values = 0;    // active-domain values the engine
+                                    // retains (0 when the constraint is
+                                    // proved domain-free)
 
   /// Mean per-state check time in microseconds (0 before any state).
   double MeanCheckMicros() const {

@@ -12,9 +12,15 @@
 #include <atomic>
 #include <mutex>
 
+#include "replication/repl_format.h"
+
 namespace rtic {
 namespace replication {
 namespace {
+
+// Largest message a peer may announce: a frame header plus the name and
+// body bound every frame decoder enforces.
+constexpr std::size_t kMaxMessageBytes = kFrameHeaderBytes + kMaxFrameBytes;
 
 Status Errno(const std::string& what) {
   return Status::Internal("tcp transport: " + what + ": " +
@@ -112,6 +118,15 @@ class TcpEndpoint final : public Transport {
           n |= static_cast<std::uint32_t>(
                    static_cast<unsigned char>(buf_[i]))
                << (8 * i);
+        }
+        if (n > kMaxMessageBytes) {
+          // Refuse at the prefix, before buffering what it announces (up
+          // to 4 GiB); the stream cannot be resynchronized, so hang up.
+          Close();
+          return Status::InvalidArgument(
+              "tcp transport: peer announced a " + std::to_string(n) +
+              "-byte frame, over the " + std::to_string(kMaxMessageBytes) +
+              "-byte cap");
         }
         if (buf_.size() >= 4 + static_cast<std::size_t>(n)) {
           frame->assign(buf_, 4, n);

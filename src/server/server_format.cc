@@ -111,6 +111,7 @@ std::string EncodeStatsReply(const MonitorLike& monitor) {
     c.storage_rows = s.storage_rows;
     c.aux_valuations = s.aux_valuations;
     c.aux_anchors = s.aux_anchors;
+    c.domain_values = s.domain_values;
     reply.constraints.push_back(std::move(c));
   }
   return Encode(MessageType::kStats, 0, "", EncodeStatsPayload(reply));
@@ -211,6 +212,7 @@ std::string EncodeStatsPayload(const StatsReply& stats) {
     w.WriteSize(c.storage_rows);
     w.WriteSize(c.aux_valuations);
     w.WriteSize(c.aux_anchors);
+    w.WriteSize(c.domain_values);
   }
   return w.str();
 }
@@ -239,6 +241,8 @@ Result<StatsReply> DecodeStatsPayload(std::string_view payload) {
     c.aux_valuations = av;
     RTIC_ASSIGN_OR_RETURN(std::size_t aa, ReadCount(&r, "aux anchor"));
     c.aux_anchors = aa;
+    RTIC_ASSIGN_OR_RETURN(std::size_t dv, ReadCount(&r, "domain value"));
+    c.domain_values = dv;
     stats.constraints.push_back(std::move(c));
   }
   if (!r.AtEnd()) return BadPayload("trailing bytes after stats");

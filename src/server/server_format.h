@@ -146,6 +146,7 @@ struct StatsReply {
     std::uint64_t storage_rows = 0;
     std::uint64_t aux_valuations = 0;
     std::uint64_t aux_anchors = 0;
+    std::uint64_t domain_values = 0;
   };
   std::vector<ConstraintCounters> constraints;
 };

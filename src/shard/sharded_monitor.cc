@@ -386,6 +386,8 @@ std::vector<ConstraintStats> ShardedMonitor::Stats() const {
         // constraint's totals are their sums.
         s.aux_valuations += it->second.aux_valuations;
         s.aux_anchors += it->second.aux_anchors;
+        // Each shard tracks the domain of its own slice.
+        s.domain_values += it->second.domain_values;
       }
     } else {
       auto it = coord_stats.find(e.name);
@@ -397,6 +399,7 @@ std::vector<ConstraintStats> ShardedMonitor::Stats() const {
         s.shared_subplans = it->second.shared_subplans;
         s.aux_valuations = it->second.aux_valuations;
         s.aux_anchors = it->second.aux_anchors;
+        s.domain_values = it->second.domain_values;
       }
     }
     out.push_back(std::move(s));

@@ -220,6 +220,31 @@ TEST(ActiveEngineTest, ViolationLogAccumulates) {
   EXPECT_EQ(engine->ViolationLog(), (std::vector<Timestamp>{5, 6}));
 }
 
+// A constraint proved domain-free keeps no active domain; one whose
+// falsification complements an atom over the domain keeps tracking it.
+TEST(ActiveEngineTest, OnlyDomainDependentConstraintsTrackTheDomain) {
+  std::map<std::string, Schema> schemas{{"P", IntSchema({"a"})},
+                                        {"Q", IntSchema({"a"})}};
+  tl::PredicateCatalog catalog(schemas.begin(), schemas.end());
+  auto free_engine = Unwrap(ActiveEngine::Create(
+      *Unwrap(tl::ParseFormula("forall a: P(a) implies once[0, 2] Q(a)")),
+      catalog));
+  auto dependent_engine = Unwrap(ActiveEngine::Create(
+      *Unwrap(tl::ParseFormula("forall a: once[0, 2] Q(a)")), catalog));
+  EXPECT_TRUE(free_engine->domain_free());
+  EXPECT_FALSE(dependent_engine->domain_free());
+
+  testing::ScenarioStep step{1, {{"P", {T(I(1))}}, {"Q", {T(I(2))}}}};
+  Database state = Unwrap(testing::BuildState(schemas, step));
+  EXPECT_FALSE(Unwrap(free_engine->OnTransition(state, 1)));
+  EXPECT_FALSE(Unwrap(dependent_engine->OnTransition(state, 1)));
+  EXPECT_EQ(free_engine->DomainValueCount(), 0u);
+  EXPECT_EQ(dependent_engine->DomainValueCount(), 2u);
+  EXPECT_EQ(Unwrap(dependent_engine->CurrentCounterexamples(state))
+                .SortedRows(),
+            (std::vector<Tuple>{T(I(1))}));
+}
+
 TEST(ActiveEngineTest, ReservedVariableNameRejected) {
   tl::PredicateCatalog catalog{{"P", IntSchema({"a"})}};
   tl::FormulaPtr f = Unwrap(tl::ParseFormula("forall __ts__: P(__ts__) "

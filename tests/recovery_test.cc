@@ -379,6 +379,79 @@ TEST(DurableMonitorTest, FailedPeriodicCheckpointKeepsVerdictsAndRetries) {
   EXPECT_EQ(Unwrap(recovered->SaveState()), Unwrap(reference->SaveState()));
 }
 
+/// Holds on every transition except call number `fail_at`, which errors.
+/// Checkpoints as an opaque token so a durable monitor can save it.
+class FailingEngine final : public CheckerEngine {
+ public:
+  explicit FailingEngine(int fail_at) : fail_at_(fail_at) {}
+
+  Result<bool> OnTransition(const Database&, Timestamp) override {
+    if (++calls_ == fail_at_) return Status::Internal("injected check error");
+    return true;
+  }
+  Result<Relation> CurrentCounterexamples(const Database&) override {
+    return Relation(std::vector<Column>{});
+  }
+  std::size_t StorageRows() const override { return 0; }
+  const char* name() const override { return "failing"; }
+  Result<std::string> SaveState(bool) const override {
+    return std::string("failing");
+  }
+  Status LoadState(const std::string&) override { return Status::OK(); }
+
+ private:
+  const int fail_at_;
+  int calls_ = 0;
+};
+
+/// MakeMonitor's constraint, then a failing engine, then a second built-in
+/// constraint: the error sits between two healthy checks.
+std::unique_ptr<ConstraintMonitor> MakeMonitorFailingAt(
+    MonitorOptions options, int fail_at) {
+  auto monitor = MakeMonitor(std::move(options));
+  RTIC_EXPECT_OK(monitor->RegisterConstraintEngine(
+      "failing", std::make_unique<FailingEngine>(fail_at)));
+  RTIC_EXPECT_OK(monitor->RegisterConstraint(
+      "positive", "forall e, s: Emp(e, s) implies s > 0"));
+  return monitor;
+}
+
+// A check error comes after the batch is committed: every constraint must
+// still count the transition, and the error is still reported.
+TEST(MonitorCheckErrorTest, CountersMatchTransitionCount) {
+  auto monitor = MakeMonitorFailingAt(MonitorOptions{}, /*fail_at=*/3);
+  for (std::size_t i = 0; i < 6; ++i) {
+    Result<std::vector<Violation>> got = monitor->ApplyUpdate(MakeBatch(i));
+    EXPECT_EQ(got.ok(), i != 2) << "batch " << i;
+    if (!got.ok()) {
+      EXPECT_EQ(got.status().code(), StatusCode::kInternal);
+    }
+  }
+  EXPECT_EQ(monitor->transition_count(), 6u);
+  for (const ConstraintStats& s : monitor->Stats()) {
+    EXPECT_EQ(s.transitions, monitor->transition_count()) << s.name;
+  }
+}
+
+// The periodic checkpoint due at the erroring batch is still written.
+TEST(MonitorCheckErrorTest, DurableMonitorStillCheckpointsAtInterval) {
+  const std::string dir = MakeTempDir() + "/wal";
+  auto monitor =
+      MakeMonitorFailingAt(DurableOptions(dir, /*interval=*/4), /*fail_at=*/4);
+  RTIC_ASSERT_OK(monitor->Recover().status());
+  for (std::size_t i = 0; i < 3; ++i) {
+    RTIC_ASSERT_OK(monitor->ApplyUpdate(MakeBatch(i)).status());
+  }
+  EXPECT_EQ(monitor->checkpoint_stats().bases, 0u);
+  EXPECT_FALSE(monitor->ApplyUpdate(MakeBatch(3)).ok());
+  EXPECT_EQ(monitor->checkpoint_stats().bases, 1u)
+      << "the checkpoint due at the erroring batch was skipped";
+  EXPECT_EQ(monitor->checkpoint_stats().failures, 0u);
+  for (const ConstraintStats& s : monitor->Stats()) {
+    EXPECT_EQ(s.transitions, 4u) << s.name;
+  }
+}
+
 // ---- RecoveryManager edge cases ---------------------------------------------
 
 /// Records every callback; checkpoints are opaque strings.

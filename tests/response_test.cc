@@ -5,14 +5,26 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 
 #include "common/rng.h"
 #include "engines/response/response_engine.h"
 #include "monitor/monitor.h"
+#include "storage/codec.h"
 #include "tests/engine_test_util.h"
 
 namespace rtic {
+
+/// Reaches past the construction-time domain proof, to check that the
+/// evaluator's guard catches an engine whose proof is wrong.
+class ResponseEngineTestPeer {
+ public:
+  static void ForceDomainFree(ResponseEngine* engine) {
+    engine->domain_free_ = true;
+  }
+};
+
 namespace {
 
 using testing::BuildState;
@@ -239,24 +251,38 @@ TEST(ResponseMonitorTest, RoutedAutomatically) {
 
 // ---- randomized comparison with an offline reference -------------------------------
 
+/// True iff unary `table` holds `a` at state `j`.
+bool Holds(const std::vector<ScenarioStep>& steps, std::size_t j,
+           const char* table, std::int64_t a) {
+  auto it = steps[j].tables.find(table);
+  if (it == steps[j].tables.end()) return false;
+  for (const Tuple& row : it->second) {
+    if (row.at(0).AsInt64() == a) return true;
+  }
+  return false;
+}
+
 /// Offline reference: with the whole history known, obligation (ν, i) is
 /// met iff some state j >= i has t_j - t_i in [a, b] and response(ν)@j.
 /// An unmet obligation is reported at the first state k with
-/// t_k - t_i >= b. Returns the set of (report_state_index, entity).
+/// t_k - t_i >= b. `triggered(i, a)` says whether state i opens an
+/// obligation for entity a (default: P(a) holds there). Returns the set of
+/// (report_state_index, entity).
 std::set<std::pair<std::size_t, std::int64_t>> OfflineExpected(
-    const std::vector<ScenarioStep>& steps, Timestamp lo, Timestamp hi) {
+    const std::vector<ScenarioStep>& steps, Timestamp lo, Timestamp hi,
+    std::function<bool(std::size_t, std::int64_t)> triggered = nullptr) {
+  if (!triggered) {
+    triggered = [&steps](std::size_t i, std::int64_t a) {
+      return Holds(steps, i, "P", a);
+    };
+  }
   std::set<std::pair<std::size_t, std::int64_t>> out;
   auto holds = [&](std::size_t j, const char* table, std::int64_t a) {
-    auto it = steps[j].tables.find(table);
-    if (it == steps[j].tables.end()) return false;
-    for (const Tuple& row : it->second) {
-      if (row.at(0).AsInt64() == a) return true;
-    }
-    return false;
+    return Holds(steps, j, table, a);
   };
   for (std::size_t i = 0; i < steps.size(); ++i) {
     for (std::int64_t a = 0; a <= 2; ++a) {
-      if (!holds(i, "P", a)) continue;
+      if (!triggered(i, a)) continue;
       bool met = false;
       for (std::size_t j = i; j < steps.size(); ++j) {
         Timestamp d = steps[j].t - steps[i].t;
@@ -321,6 +347,113 @@ TEST_P(ResponseRandomTest, OnlineMatchesOfflineReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ResponseRandomTest,
                          ::testing::Range<std::uint64_t>(1, 31));
+
+// ---- active-domain tracking ---------------------------------------------------------
+
+/// A random P/Q history of `n` states over entities 0..2.
+std::vector<ScenarioStep> RandomPQHistory(Rng* rng, int n) {
+  std::vector<ScenarioStep> steps;
+  Timestamp t = 0;
+  for (int i = 0; i < n; ++i) {
+    t += rng->UniformInt(1, 3);
+    ScenarioStep step{t, {}};
+    for (std::int64_t a = 0; a <= 2; ++a) {
+      if (rng->Bernoulli(0.3)) step.tables["P"].push_back(T(I(a)));
+      if (rng->Bernoulli(0.3)) step.tables["Q"].push_back(T(I(a)));
+    }
+    steps.push_back(std::move(step));
+  }
+  return steps;
+}
+
+// `not P(a)` complements P over the history's active domain, so this
+// engine must keep tracking its domain: an entity is owed a response from
+// the first state it has appeared in, whenever P(a) does not hold.
+TEST(ResponseDomainTest, DomainDependentTriggerTracksItsDomain) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    Rng rng(seed);
+    const Timestamp lo = rng.UniformInt(0, 2);
+    const Timestamp hi = lo + rng.UniformInt(1, 6);
+    std::string text = "forall a: not P(a) implies eventually[" +
+                       std::to_string(lo) + ", " + std::to_string(hi) +
+                       "] Q(a)";
+    auto engine = MakeResponse(text);
+    EXPECT_FALSE(engine->domain_free()) << text;
+    const std::vector<ScenarioStep> steps = RandomPQHistory(&rng, 30);
+
+    std::set<std::int64_t> seen;
+    std::vector<std::set<std::int64_t>> domain_at;
+    for (const ScenarioStep& step : steps) {
+      for (const auto& [table, rows] : step.tables) {
+        for (const Tuple& row : rows) seen.insert(row.at(0).AsInt64());
+      }
+      domain_at.push_back(seen);
+    }
+    auto triggered = [&](std::size_t i, std::int64_t a) {
+      return domain_at[i].count(a) > 0 && !Holds(steps, i, "P", a);
+    };
+
+    std::set<std::pair<std::size_t, std::int64_t>> got;
+    for (std::size_t k = 0; k < steps.size(); ++k) {
+      Database state = Unwrap(BuildState(PQRSchemas(), steps[k]));
+      if (!Unwrap(engine->OnTransition(state, steps[k].t))) {
+        for (const auto& e : engine->LastExpired()) {
+          got.emplace(k, e.valuation.at(0).AsInt64());
+        }
+      }
+    }
+    EXPECT_EQ(got, OfflineExpected(steps, lo, hi, triggered)) << text;
+    EXPECT_EQ(engine->DomainValueCount(), seen.size()) << text;
+  }
+}
+
+// A domain-free engine absorbs nothing, writes an empty domain section,
+// and drops the values an older blob still carries.
+TEST(ResponseDomainTest, DomainFreeEngineKeepsNoDomain) {
+  const std::string text = "forall a: P(a) implies eventually[0, 5] Q(a)";
+  auto engine = MakeResponse(text);
+  ASSERT_TRUE(engine->domain_free());
+  Rng rng(7);
+  for (const ScenarioStep& step : RandomPQHistory(&rng, 12)) {
+    Database state = Unwrap(BuildState(PQRSchemas(), step));
+    (void)Unwrap(engine->OnTransition(state, step.t));
+  }
+  EXPECT_EQ(engine->DomainValueCount(), 0u);
+
+  auto blob = [&](const std::vector<Value>& domain) {
+    StateWriter w;
+    w.WriteString("RTICRESP1");
+    w.WriteString(Unwrap(tl::ParseFormula(text))->ToString());
+    w.WriteInt(1);  // has_prev
+    w.WriteInt(40);
+    w.WriteSize(domain.size());
+    for (const Value& v : domain) w.WriteValue(v);
+    w.WriteSize(1);  // one open obligation
+    w.WriteTuple(T(I(2)));
+    w.WriteSize(1);
+    w.WriteInt(38);
+    return w.str();
+  };
+  RTIC_ASSERT_OK(engine->LoadState(blob({I(0), I(1), I(2)})));
+  EXPECT_EQ(engine->DomainValueCount(), 0u);
+  EXPECT_EQ(engine->PendingObligations(), 1u);
+  EXPECT_EQ(Unwrap(engine->SaveState()), blob({}));
+}
+
+// The construction-time proof is checked at run time: an engine treated as
+// domain-free whose trigger does read the domain fails with Internal
+// rather than quantifying over an empty domain.
+TEST(ResponseDomainTest, DomainFreeEngineReachingTheDomainIsInternal) {
+  auto engine =
+      MakeResponse("forall a: not P(a) implies eventually[0, 5] Q(a)");
+  ResponseEngineTestPeer::ForceDomainFree(engine.get());
+  ScenarioStep step{1, {{"P", {T(I(1))}}, {"Q", {T(I(2))}}}};
+  Database state = Unwrap(BuildState(PQRSchemas(), step));
+  Result<bool> verdict = engine->OnTransition(state, step.t);
+  ASSERT_FALSE(verdict.ok());
+  EXPECT_EQ(verdict.status().code(), StatusCode::kInternal)
+      << verdict.status().ToString();
+}
 
 }  // namespace
 }  // namespace rtic

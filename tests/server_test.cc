@@ -13,6 +13,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <string.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -217,7 +218,7 @@ TEST(ServerFormatTest, PayloadCodecsRoundTripAndRejectDamage) {
   stats.transition_count = 12;
   stats.current_time = 99;
   stats.total_violations = 3;
-  stats.constraints.push_back({"no_pay_cut", 12, 3, 7, 4, 6});
+  stats.constraints.push_back({"no_pay_cut", 12, 3, 7, 4, 6, 9});
   StatsReply round = Unwrap(DecodeStatsPayload(EncodeStatsPayload(stats)));
   EXPECT_EQ(round.transition_count, 12u);
   EXPECT_EQ(round.current_time, 99);
@@ -227,6 +228,7 @@ TEST(ServerFormatTest, PayloadCodecsRoundTripAndRejectDamage) {
   EXPECT_EQ(round.constraints[0].storage_rows, 7u);
   EXPECT_EQ(round.constraints[0].aux_valuations, 4u);
   EXPECT_EQ(round.constraints[0].aux_anchors, 6u);
+  EXPECT_EQ(round.constraints[0].domain_values, 9u);
 
   // Schema: bad column type rejected.
   StateWriter w;
@@ -283,6 +285,103 @@ TEST(ServerSessionTest, HandshakeRequestsAndServerAssignedTimestamps) {
   EXPECT_EQ(stats.constraints[0].violations, 2u);
 
   client->Close();
+  server->Stop();
+}
+
+// Every constraint's active-domain size reaches the stats reply and
+// matches the library's: the incremental constraint tracks the values it
+// has seen, the domain-free response constraint keeps none.
+TEST(ServerSessionTest, StatsReplyCarriesDomainValues) {
+  auto server = Unwrap(RticServer::Start(ServerOptions{}));
+  auto client = Unwrap(RticClient::Connect(server->address(), "acme"));
+  ConstraintMonitor library;
+  constexpr char kAcked[] =
+      "forall a: Raise(a) implies eventually[0, 10] Ack(a)";
+  RTIC_ASSERT_OK(SetUpPayroll(client.get()));
+  RTIC_ASSERT_OK(client->CreateTable("Raise", IntSchema({"a"})));
+  RTIC_ASSERT_OK(client->CreateTable("Ack", IntSchema({"a"})));
+  RTIC_ASSERT_OK(client->RegisterConstraint("acked", kAcked));
+  RTIC_ASSERT_OK(library.CreateTable("Emp", IntSchema({"e", "s"})));
+  RTIC_ASSERT_OK(library.CreateTable("Raise", IntSchema({"a"})));
+  RTIC_ASSERT_OK(library.CreateTable("Ack", IntSchema({"a"})));
+  RTIC_ASSERT_OK(library.RegisterConstraint("no_pay_cut", kNoPayCut));
+  RTIC_ASSERT_OK(library.RegisterConstraint("acked", kAcked));
+
+  std::vector<UpdateBatch> batches = {EmpBatch(1, 50, 1), EmpBatch(2, 70, 2)};
+  UpdateBatch raise(3);
+  raise.Insert("Raise", T(I(9)));
+  batches.push_back(raise);
+  for (const UpdateBatch& batch : batches) {
+    (void)Unwrap(client->Apply(batch));
+    (void)Unwrap(library.ApplyUpdate(batch));
+  }
+
+  StatsReply stats = Unwrap(client->GetStats());
+  const std::vector<ConstraintStats> want = library.Stats();
+  ASSERT_EQ(stats.constraints.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(stats.constraints[i].domain_values, want[i].domain_values)
+        << want[i].name;
+  }
+  EXPECT_EQ(want[0].domain_values, 5u);  // 1, 2, 9, 50, 70
+  EXPECT_EQ(want[1].domain_values, 0u);
+  client->Close();
+  server->Stop();
+}
+
+/// A raw loopback socket connected to `port` (-1 on failure).
+int ConnectLoopback(std::uint16_t port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  struct sockaddr_in addr;
+  memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// A length prefix announcing 4 GiB is refused as soon as its four bytes
+// arrive: the receiver neither waits for nor buffers the announced bytes,
+// and the server hangs up on that session only.
+TEST(ServerSessionTest, OversizedLengthPrefixIsRefusedAtThePrefix) {
+  const std::string oversized("\xff\xff\xff\xff" "abcd", 8);
+
+  auto listener = Unwrap(replication::TcpListener::Listen(0));
+  int peer = ConnectLoopback(listener->port());
+  ASSERT_GE(peer, 0);
+  std::unique_ptr<Transport> endpoint = Unwrap(listener->Accept());
+  ASSERT_EQ(::send(peer, oversized.data(), oversized.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(oversized.size()));
+  std::string frame;
+  Result<bool> got = endpoint->Recv(&frame);  // would block without the cap
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(frame.empty());
+  EXPECT_FALSE(endpoint->Recv(&frame).ok()) << "the stream must stay closed";
+  ::close(peer);
+
+  auto server = Unwrap(RticServer::Start(ServerOptions{}));
+  auto healthy = Unwrap(RticClient::Connect(server->address(), "acme"));
+  RTIC_ASSERT_OK(SetUpPayroll(healthy.get()));
+  int rogue = ConnectLoopback(server->port());
+  ASSERT_GE(rogue, 0);
+  ASSERT_EQ(::send(rogue, oversized.data(), oversized.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(oversized.size()));
+  struct pollfd pfd = {rogue, POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, /*timeout_ms=*/10000), 1)
+      << "the server is still waiting on the announced bytes";
+  char byte;
+  EXPECT_LE(::recv(rogue, &byte, 1, 0), 0) << "the server must hang up";
+  ::close(rogue);
+
+  RticClient::ApplyResult applied = Unwrap(healthy->Apply(EmpBatch(1, 50)));
+  EXPECT_EQ(applied.timestamp, 1);
   server->Stop();
 }
 
