@@ -11,7 +11,7 @@
 # the open-loop driver; the property label drives the evaluator and the
 # domain-dependence analysis over randomized formulas), a ThreadSanitizer
 # pass over the parallel, fault, replication, server, shard, and anchor
-# labels (group commit, the crash
+# labels (concurrent WAL appends, the crash
 # matrices, the background shipper thread, the multi-session TCP server,
 # the sharded monitor's fan-out pool, and the shared-subplan lockstep
 # protocol are the concurrency-heavy paths), and a perf-regression gate

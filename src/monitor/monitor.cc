@@ -270,8 +270,6 @@ Result<wal::RecoveryStats> ConstraintMonitor::Recover() {
   wal::WalOptions wal_options;
   wal_options.dir = options_.wal_dir;
   wal_options.sync_policy = options_.sync_policy;
-  wal_options.group_commit_window_micros =
-      options_.group_commit_window_micros;
   wal_options.checkpoint_interval = options_.checkpoint_interval;
   wal_options.delta_chain_limit = options_.checkpoint_delta_chain;
   wal_options.segment_bytes = options_.wal_segment_bytes;
@@ -288,17 +286,24 @@ Result<wal::RecoveryStats> ConstraintMonitor::Recover() {
       wal::RecoveryManager::Open(wal_options, &target);
   recovering_ = false;
   if (!manager.ok()) return manager.status();
-  recovery_ = std::move(manager).value();
+  std::unique_ptr<wal::RecoveryManager> recovery = std::move(manager).value();
   // When the checkpoint already covers the whole log (no tail, or Open's
   // damaged-tail re-anchor just captured the live state), the current
   // state IS the baseline; replay-accumulated tracking would otherwise
   // leak into the next delta.
-  if (recovery_->checkpoint_seq() == recovery_->last_seq()) {
+  if (recovery->checkpoint_seq() == recovery->last_seq()) {
     ResetCheckpointTracking();
   }
   if (!options_.replication_standby.empty()) {
-    RTIC_RETURN_IF_ERROR(StartShipping());
+    Status ship = StartShipping();
+    if (!ship.ok()) {
+      shipper_.reset();
+      ship_transport_.reset();
+      return ship;
+    }
   }
+  // Armed last, so a failed step never leaves batches logged unshipped.
+  recovery_ = std::move(recovery);
   return recovery_->stats();
 }
 

@@ -97,17 +97,6 @@ struct MonitorOptions {
   /// When an accepted batch becomes durable (durable mode only).
   wal::SyncPolicy sync_policy = wal::SyncPolicy::kBatch;
 
-  /// Group-commit gathering window in microseconds (durable mode only).
-  /// 0 (the default) keeps today's per-append behavior. Non-zero makes
-  /// sync_policy = kAlways amortize fsyncs: all batches appended within
-  /// the window — or queued while a prior fsync is in flight — become
-  /// durable through one shared fsync, and each ApplyUpdate still returns
-  /// only once its own batch is durable. Worth roughly the storage
-  /// device's fsync latency; it only pays off when several threads commit
-  /// concurrently (each committer waits out the window, so a single
-  /// serial writer sees added latency and no fewer fsyncs).
-  std::uint64_t group_commit_window_micros = 0;
-
   /// Accepted batches between automatic checkpoints; 0 disables periodic
   /// checkpointing, leaving recovery to replay the whole log.
   std::size_t checkpoint_interval = 64;
@@ -148,9 +137,6 @@ struct MonitorOptions {
   /// Pause between shipping passes of the background shipper thread.
   std::uint64_t ship_interval_micros = 50000;
 };
-
-// ConstraintStats and Violation moved to monitor/monitor_iface.h (the
-// MonitorLike vocabulary); this header re-exports them via its include.
 
 /// Cumulative checkpoint-write statistics (durable mode; the cost measure
 /// of experiment E13). Bytes are the sizes actually written to disk, after
@@ -205,7 +191,9 @@ class ConstraintMonitor : public MonitorLike {
   /// corrupt tails are truncated, logged, and never fatal), and arms the
   /// log for subsequent updates. Must be called exactly once, after every
   /// CreateTable/RegisterConstraint and before the first update. Requires
-  /// a checkpointable engine configuration (see SaveState()).
+  /// a checkpointable engine configuration (see SaveState()). The log is
+  /// armed only when every step succeeds, replication included: after a
+  /// failed Recover(), ApplyUpdate returns FailedPrecondition.
   Result<wal::RecoveryStats> Recover() override;
 
   /// Commits one transition: applies the batch (timestamp must exceed the

@@ -94,8 +94,8 @@ enum class FaultKind {
 /// fails outright — the file system behaves as if the process died mid-call.
 /// Mutating operations are counted; reads and CreateDir are passed through
 /// (but also fail once dead). The fault accounting is thread-safe, so
-/// concurrent committers (group commit) can be attacked; the files handed
-/// out inherit the base Fs's (lack of) internal synchronization.
+/// concurrent appenders can be attacked; the files handed out inherit the
+/// base Fs's (lack of) internal synchronization.
 class FaultInjectingFs final : public Fs {
  public:
   FaultInjectingFs(Fs* base, std::uint64_t trigger_op, FaultKind kind);

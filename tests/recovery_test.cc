@@ -95,6 +95,25 @@ TEST(DurableMonitorTest, RecoverWithoutWalDirFails) {
             StatusCode::kFailedPrecondition);
 }
 
+// A Recover() that fails after the log opened (here: the standby is
+// unreachable) must leave the monitor unarmed: ApplyUpdate refuses, and no
+// batch reaches a WAL that nobody ships.
+TEST(DurableMonitorTest, FailedRecoverRefusesUpdates) {
+  const std::string dir = MakeTempDir() + "/wal";
+  MonitorOptions options = DurableOptions(dir, 4);
+  options.replication_standby = "127.0.0.1:1";
+  auto monitor = MakeMonitor(std::move(options));
+  EXPECT_FALSE(monitor->Recover().ok());
+  EXPECT_EQ(monitor->ApplyUpdate(MakeBatch(0)).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(monitor->transition_count(), 0u);
+  std::uint64_t first_seq = 0;
+  for (const std::string& name : Unwrap(wal::DefaultFs()->ListDir(dir))) {
+    EXPECT_FALSE(wal::ParseSegmentFileName(name, &first_seq))
+        << "batch logged after a failed Recover(): " << name;
+  }
+}
+
 TEST(DurableMonitorTest, NaiveEngineCannotBeDurable) {
   const std::string dir = MakeTempDir();
   MonitorOptions options = DurableOptions(dir + "/wal", 4);

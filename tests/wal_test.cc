@@ -271,7 +271,6 @@ TEST(WalWriterTest, PoisonsAfterFailedAppendInsteadOfStrandingRecords) {
   // The fs works again, but every further write must be refused.
   EXPECT_EQ(writer->Append(2, "would strand").code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(writer->Sync().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(writer->Rotate().code(), StatusCode::kFailedPrecondition);
   EXPECT_FALSE(writer->broken().ok());
 
@@ -286,18 +285,18 @@ TEST(WalWriterTest, PoisonsAfterFailedAppendInsteadOfStrandingRecords) {
 
 TEST(WalWriterTest, PoisonsAfterFailedSync) {
   const std::string dir = MakeTempDir();
-  // kBatch writer: open (1), append (2), flush (3); the explicit Sync is
-  // op 4 and faults.
-  FaultInjectingFs fs(DefaultFs(), /*trigger_op=*/4, FaultKind::kFailWrite);
+  // kAlways writer: open (1), append (2), fsync (3); the first record's
+  // write lands and its per-record fsync faults inside Append.
+  FaultInjectingFs fs(DefaultFs(), /*trigger_op=*/3, FaultKind::kFailWrite);
   WalWriter::Options options;
-  options.sync_policy = SyncPolicy::kBatch;
+  options.sync_policy = SyncPolicy::kAlways;
   std::unique_ptr<WalWriter> writer =
       Unwrap(WalWriter::Open(&fs, dir, options, 1));
-  RTIC_ASSERT_OK(writer->Append(1, "a"));
-  EXPECT_FALSE(writer->Sync().ok());
-  // Poisoned, not merely unlucky: the refusal is FailedPrecondition from
-  // the writer itself, before the (dead) fs is ever consulted.
-  EXPECT_EQ(writer->Append(2, "b").code(), StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(writer->Append(1, "a").ok());
+  ASSERT_TRUE(fs.dead()) << "the trigger op must be the per-record fsync";
+  // Poisoned, not merely unlucky: the retry's refusal is FailedPrecondition
+  // from the writer itself, before the (dead) fs is ever consulted.
+  EXPECT_EQ(writer->Append(1, "b").code(), StatusCode::kFailedPrecondition);
   EXPECT_FALSE(writer->broken().ok());
 }
 
